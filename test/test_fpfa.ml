@@ -37,4 +37,5 @@ let () =
       ("json", Test_json.suite);
       ("serve", Test_serve.suite);
       ("incr", Test_incr.suite);
+      ("identity", Test_identity.suite);
     ]
