@@ -39,7 +39,20 @@ type region_info = { size : int option; implicit : bool }
    newest-first order of the previous representation. Each adjacency array
    has a separate length ([*_len]); spare capacity is recycled through
    [pool], a free list of power-of-two int arrays, so the rewrite-heavy
-   passes stop churning the major heap. *)
+   passes stop churning the major heap.
+
+   [dpos] is the back-pointer of every input cell: [dpos.(3*cid + port)]
+   is the slot of the edge [(cid lsl 2) lor port] in its producer's
+   [duse] array. It turns data-edge removal into an O(1) swap-delete
+   however many consumers the producer has (a constant or token shared
+   by thousands of readers used to make every removal O(fan-out)). The
+   swap itself is the one the linear scan performed, so [duse] contents
+   are unchanged. [writers.(p)] counts the data edges of [duse.(p)] that
+   are the token input (port 0) of a store or delete, so a reader of a
+   token can learn in O(1) that no writer consumes it instead of scanning
+   its (possibly thousands of) fetch siblings. A frozen graph can never
+   be mutated, so [freeze] releases both arrays and {!copy} rebuilds them
+   in one pass over [duse]. *)
 type t = {
   fname : string;
   region_tbl : (string, region_info) Hashtbl.t;
@@ -53,6 +66,12 @@ type t = {
   mutable ord_len : int array;
   mutable duse : int array array;
   mutable duse_len : int array;
+  mutable dpos : int array;
+      (** 3 cells per slot: the [duse] slot of each input edge; empty
+          once frozen *)
+  mutable writers : int array;
+      (** per producer: St/Del consumers reading it on port 0; empty once
+          frozen *)
   mutable ouse : int array array;
   mutable ouse_len : int array;
   mutable out_uses : int array;
@@ -99,6 +118,8 @@ let create fname =
     ord_len = [||];
     duse = [||];
     duse_len = [||];
+    dpos = [||];
+    writers = [||];
     ouse = [||];
     ouse_len = [||];
     out_uses = [||];
@@ -152,6 +173,9 @@ let grow g cap' =
   let ins' = Array.make (3 * cap') 0 in
   Array.blit g.ins 0 ins' 0 (3 * cap);
   g.ins <- ins';
+  let dpos' = Array.make (3 * cap') 0 in
+  Array.blit g.dpos 0 dpos' 0 (3 * cap);
+  g.dpos <- dpos';
   let copy_adj arrs =
     let a' = Array.make cap' no_ints in
     Array.blit arrs 0 a' 0 cap;
@@ -169,6 +193,7 @@ let grow g cap' =
   g.ouse <- copy_adj g.ouse;
   g.ouse_len <- copy_len g.ouse_len;
   g.out_uses <- copy_len g.out_uses;
+  g.writers <- copy_len g.writers;
   let moved' = Array.make cap' (-1) in
   Array.blit g.moved 0 moved' 0 cap;
   g.moved <- moved'
@@ -256,6 +281,36 @@ let adj_clear g arrs lens i =
   release_adj g arrs.(i);
   arrs.(i) <- no_ints;
   lens.(i) <- 0
+
+(* {2 Data edges}
+
+   Every data-edge insertion and deletion goes through these two, which
+   keep the [dpos] back-pointer of input cell [3*cid + port] naming the
+   slot of the packed entry [(cid lsl 2) lor port] in [duse.(producer)],
+   and the [writers] count of the producer. *)
+
+let is_writer_edge kind port =
+  port = 0 && match kind with St _ | Del _ -> true | _ -> false
+
+let duse_push g producer cid port =
+  g.dpos.((3 * cid) + port) <- g.duse_len.(producer);
+  if is_writer_edge g.kinds.(cid) port then
+    g.writers.(producer) <- g.writers.(producer) + 1;
+  adj_push g g.duse g.duse_len producer ((cid lsl 2) lor port)
+
+(* O(1) unordered delete: the same swap with the last entry that
+   [adj_remove_swap] performs, located through the back-pointer instead
+   of a scan. *)
+let duse_remove g producer cid port =
+  let j = g.dpos.((3 * cid) + port) in
+  let a = g.duse.(producer) in
+  let last = g.duse_len.(producer) - 1 in
+  let e = a.(last) in
+  a.(j) <- e;
+  g.dpos.((3 * (e lsr 2)) + (e land 3)) <- j;
+  g.duse_len.(producer) <- last;
+  if is_writer_edge g.kinds.(cid) port then
+    g.writers.(producer) <- g.writers.(producer) - 1
 
 (* {2 Access} *)
 
@@ -364,6 +419,77 @@ let use_count g id =
   if id < 0 || id >= g.next_id then 0
   else g.duse_len.(id) + g.out_uses.(id)
 
+let data_use_count g id =
+  if id < 0 || id >= g.next_id then 0 else g.duse_len.(id)
+
+let writer_count g id =
+  if id < 0 || id >= g.next_id then 0
+  else if not g.frozen then g.writers.(id)
+  else begin
+    (* released by [freeze]: count from the use index *)
+    let a = g.duse.(id) and c = ref 0 in
+    for j = 0 to g.duse_len.(id) - 1 do
+      if is_writer_edge g.kinds.(a.(j) lsr 2) (a.(j) land 3) then incr c
+    done;
+    !c
+  end
+
+(* The order-edge index has set semantics on both sides, so [after] is in
+   [ord.(id)] exactly when [id] is in [ouse.(after)]: scan the shorter. *)
+let has_order g id ~after =
+  if id < 0 || id >= g.next_id || after < 0 || after >= g.next_id then false
+  else if g.ord_len.(id) <= g.ouse_len.(after) then
+    adj_mem g.ord g.ord_len id after
+  else adj_mem g.ouse g.ouse_len after id
+
+let iter_inputs g id f =
+  node_exn g id;
+  let base = 3 * id in
+  for p = 0 to arity g.kinds.(id) - 1 do
+    f g.ins.(base + p)
+  done
+
+(* Applies [f] to the first [len] entries of [a] in ascending order
+   without allocating for short runs (the common degree): entries are
+   distinct (a packed data edge lives in exactly one slot; the order index
+   has set semantics), so repeatedly selecting the least entry above the
+   previous one enumerates them in order. Longer runs are read from a
+   sorted copy. *)
+let iter_sorted a len f =
+  if len <= 16 then begin
+    let prev = ref min_int in
+    for _ = 1 to len do
+      let m = ref max_int in
+      for j = 0 to len - 1 do
+        let v = Array.unsafe_get a j in
+        if v > !prev && v < !m then m := v
+      done;
+      prev := !m;
+      f !m
+    done
+  end
+  else begin
+    let s = Array.sub a 0 len in
+    Array.sort Int.compare s;
+    Array.iter f s
+  end
+
+let iter_consumers g id f =
+  if id >= 0 && id < g.next_id then
+    iter_sorted g.duse.(id) g.duse_len.(id) (fun e -> f (e lsr 2) (e land 3))
+
+let iter_order_successors g id f =
+  if id >= 0 && id < g.next_id then iter_sorted g.ouse.(id) g.ouse_len.(id) f
+
+let iter_consumers_unordered g id f =
+  if id >= 0 && id < g.next_id then begin
+    let a = g.duse.(id) in
+    for j = 0 to g.duse_len.(id) - 1 do
+      let e = a.(j) in
+      f (e lsr 2) (e land 3)
+    done
+  end
+
 (* {2 Construction} *)
 
 let add g kind inputs =
@@ -381,7 +507,7 @@ let add g kind inputs =
   List.iteri
     (fun port producer ->
       g.ins.((3 * id) + port) <- producer;
-      adj_push g g.duse g.duse_len producer ((id lsl 2) lor port))
+      duse_push g producer id port)
     inputs;
   touch g;
   mark_def g id;
@@ -424,7 +550,8 @@ let set_output g output_name id =
   | None -> ());
   g.out_uses.(id) <- g.out_uses.(id) + 1;
   g.named_outputs <-
-    (output_name, id) :: List.remove_assoc output_name g.named_outputs
+    (output_name, id) :: List.remove_assoc output_name g.named_outputs;
+  touch g
 
 let outputs g =
   List.sort (fun (a, _) (b, _) -> String.compare a b) g.named_outputs
@@ -441,13 +568,13 @@ let set_inputs g id inputs =
   let base = 3 * id in
   for port = 0 to a - 1 do
     let old = g.ins.(base + port) in
-    adj_remove_swap g.duse g.duse_len old ((id lsl 2) lor port);
+    duse_remove g old id port;
     mark_use g old
   done;
   List.iteri
     (fun port producer ->
       g.ins.(base + port) <- producer;
-      adj_push g g.duse g.duse_len producer ((id lsl 2) lor port))
+      duse_push g producer id port)
     inputs;
   touch g;
   mark_def g id
@@ -474,9 +601,10 @@ let replace_uses g old ~by =
          let e = a.(j) in
          let cid = e lsr 2 and port = e land 3 in
          g.ins.((3 * cid) + port) <- by;
-         adj_push g g.duse g.duse_len by e;
+         duse_push g by cid port;
          mark_def g cid
        done;
+       g.writers.(old) <- 0;
        if len > 0 then adj_clear g g.duse g.duse_len old
      end);
     (* Order edges: re-point, deduplicate, and never create a self edge. *)
@@ -564,7 +692,7 @@ let remove g id =
   let base = 3 * id in
   for port = 0 to a - 1 do
     let producer = g.ins.(base + port) in
-    adj_remove_swap g.duse g.duse_len producer ((id lsl 2) lor port);
+    duse_remove g producer id port;
     mark_use g producer
   done;
   let oa = g.ord.(id) in
@@ -766,6 +894,10 @@ let freeze g =
     (* Fill the topo cache first: frozen readers on other domains then
        share one precomputed order and never write to the cache. *)
     ignore (topo_order g);
+    (* No mutation can follow, so the back-pointers are dead weight —
+       and the serve cache keeps every graph it holds frozen. *)
+    g.dpos <- [||];
+    g.writers <- [||];
     g.frozen <- true
   end
 
@@ -866,6 +998,29 @@ let index_errors g =
   if !idx_data <> !exp_data then
     errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
       !exp_data;
+  (* Every indexed data edge's back-pointer names its own slot, and each
+     producer's writer count matches its indexed edges (frozen graphs
+     have released both). *)
+  if not g.frozen then
+    for p = 0 to n - 1 do
+      let a = g.duse.(p) in
+      let w = ref 0 in
+      for j = 0 to g.duse_len.(p) - 1 do
+        let cid = a.(j) lsr 2 and port = a.(j) land 3 in
+        if cid < n then begin
+          if is_writer_edge g.kinds.(cid) port then incr w;
+          if g.dpos.((3 * cid) + port) <> j then
+            errf
+              "use/def index back-pointer of (%d, port %d) is %d, not slot \
+               %d of %d"
+              cid port
+              g.dpos.((3 * cid) + port)
+              j p
+        end
+      done;
+      if g.writers.(p) <> !w then
+        errf "use/def index counts %d writers of %d, not %d" g.writers.(p) p !w
+    done;
   for cid = 0 to n - 1 do
     if is_alive g cid then begin
       let oa = g.ord.(cid) in
@@ -1020,6 +1175,17 @@ let copy g =
     Array.init n (fun i ->
         if lens.(i) = 0 then no_ints else Array.sub arrs.(i) 0 lens.(i))
   in
+  (* Rebuilt rather than copied: a frozen source has released them. *)
+  let dpos = Array.make (3 * n) 0 and writers = Array.make n 0 in
+  for p = 0 to n - 1 do
+    let a = g.duse.(p) in
+    for j = 0 to g.duse_len.(p) - 1 do
+      let cid = a.(j) lsr 2 and port = a.(j) land 3 in
+      dpos.((3 * cid) + port) <- j;
+      if is_writer_edge g.kinds.(cid) port then
+        writers.(p) <- writers.(p) + 1
+    done
+  done;
   {
     fname = g.fname;
     region_tbl = Hashtbl.copy g.region_tbl;
@@ -1033,6 +1199,8 @@ let copy g =
     ord_len = Array.sub g.ord_len 0 n;
     duse = copy_adj g.duse g.duse_len;
     duse_len = Array.sub g.duse_len 0 n;
+    dpos;
+    writers;
     ouse = copy_adj g.ouse g.ouse_len;
     ouse_len = Array.sub g.ouse_len 0 n;
     out_uses = Array.sub g.out_uses 0 n;

@@ -167,6 +167,40 @@ val use_count : t -> id -> int
 (** Number of data uses plus named-output references (order edges do not
     count as uses for liveness). O(1): two index lookups. *)
 
+val data_use_count : t -> id -> int
+(** Number of data uses alone — [List.length (consumers_of g id)]
+    without building the list. O(1). *)
+
+val writer_count : t -> id -> int
+(** Number of [St]/[Del] nodes reading the node as their token input
+    (port 0) — the writers of that token version. O(1) on a mutable
+    graph (maintained with the use index), O(degree) once frozen. *)
+
+val has_order : t -> id -> after:id -> bool
+(** [has_order g id ~after] is [List.mem after (order_after g id)]
+    without building the list: scans the shorter of the node's
+    order-after list and [after]'s order successors. *)
+
+val iter_inputs : t -> id -> (id -> unit) -> unit
+(** Applies the callback to every data input in port order — {!inputs}
+    without the list. *)
+
+val iter_consumers : t -> id -> (id -> int -> unit) -> unit
+(** [iter_consumers g id f] calls [f consumer port] in the order of
+    {!consumers_of} (ascending), without building the list. Degree-16
+    and smaller producers allocate nothing. [f] must not mutate the
+    graph. *)
+
+val iter_order_successors : t -> id -> (id -> unit) -> unit
+(** {!order_successors} in its (ascending) order, without the list, on
+    the same terms as {!iter_consumers}. *)
+
+val iter_consumers_unordered : t -> id -> (id -> int -> unit) -> unit
+(** Like {!iter_consumers} but in the index's internal order, which is an
+    artefact of mutation history: only for callers whose result does not
+    depend on visiting order. O(degree), allocation-free. [f] must not add
+    or remove data edges. *)
+
 val ss_in_of : t -> string -> id option
 (** The [Ss_in] node of a region, if present. *)
 

@@ -88,6 +88,7 @@ let enabled () = Atomic.get enabled_flag
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 let set_clock f = clock := f
+let now () = !clock ()
 
 let reset () =
   Mutex.lock state_lock;

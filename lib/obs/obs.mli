@@ -65,6 +65,11 @@ val set_clock : (unit -> float) -> unit
     ([Unix.gettimeofday] and [Sys.time] both are; a closure over a
     plain [ref], as the tests use, is only safe single-domain). *)
 
+val now : unit -> float
+(** The current reading of the installed clock ({!set_clock}), for
+    callers that time work finer than a span — e.g. per-rule self time
+    in the worklist engine, which only reads it while {!enabled}. *)
+
 val reset : unit -> unit
 (** Clears recorded spans in every domain's buffer and zeroes every
     counter (registrations are kept, as modules hold counter handles

@@ -99,7 +99,9 @@ let region_of g id =
 (* One store/delete's worth of dead-store bypassing, reading the live
    use/def index. *)
 let bypass_dead_store g (n : G.node) =
-  if not (token_mutator g n.G.id) then false
+  (* the use count rules out a token with many readers before the
+     O(degree log degree) sorted consumer list is built *)
+  if not (token_mutator g n.G.id) || G.data_use_count g n.G.id <> 1 then false
   else
     match G.consumers_of g n.G.id with
     | [ (consumer, 0) ]
@@ -131,7 +133,8 @@ let run_dead_store g =
 let dead_store = { Pass.name = "dead-store"; run = run_dead_store }
 
 let dead_store_rule =
-  Pass.local "dead-store" (fun g id -> bypass_dead_store g (G.node g id))
+  Pass.local "dead-store" (fun g id ->
+      G.data_use_count g id = 1 && bypass_dead_store g (G.node g id))
 
 (* {2 Token-order canonical form}
 
@@ -151,53 +154,60 @@ let dead_store_rule =
    implies the original constraint transitively through the chain). The
    result is a function of the fetch's token anchor alone. No address
    oracle is consulted: the conservative shape is preserved and
-   {!Transform.Disambig} keeps its entire pruning workload. *)
+   {!Transform.Disambig} keeps its entire pruning workload.
+
+   A token can have thousands of readers, and every fetch visit scans
+   them all, so the scans read the use index in its raw order and build
+   nothing. Raw order is safe where each hit lands on a different node
+   (the fetch side adds one edge to each writer). On the writer side the
+   hits all append to one [order_after] list, whose order is observable,
+   so they are collected and added in ascending id order. *)
 
 let canon_node g (n : G.node) =
   let changed = ref false in
-  let ensure_edge w ~fe =
-    if not (List.mem fe (G.node g w).G.order_after) then begin
-      G.add_order g w ~after:fe;
-      changed := true
-    end
-  in
-  (* orders every fetch of token version [t] before writer [w] *)
-  let ensure_fetches_precede w ~region ~t =
-    List.iter
-      (fun (c, port) ->
-        if port = 0 && c <> w then
-          match G.kind g c with
-          | G.Fe r when String.equal r region -> ensure_edge w ~fe:c
-          | _ -> ())
-      (G.consumers_of g t)
-  in
   (match n.G.kind with
   | G.Fe region ->
-    let t = n.G.inputs.(0) in
-    List.iter
-      (fun (w, port) ->
-        if port = 0 then
-          match G.kind g w with
-          | (G.St r | G.Del r) when String.equal r region ->
-            ensure_edge w ~fe:n.G.id
-          | _ -> ())
-      (G.consumers_of g t)
+    let fe = n.G.id and t = n.G.inputs.(0) in
+    (* a read-only token (no writer consumes it) needs no scan *)
+    if G.writer_count g t > 0 then
+      G.iter_consumers_unordered g t (fun w port ->
+          if port = 0 then
+            match G.kind g w with
+            | (G.St r | G.Del r)
+              when String.equal r region && not (G.has_order g w ~after:fe) ->
+              G.add_order g w ~after:fe;
+              changed := true
+            | _ -> ())
   | G.St region | G.Del region ->
-    let t = List.nth (G.inputs g n.G.id) 0 in
-    ensure_fetches_precede n.G.id ~region ~t;
+    (* orders every fetch of token version [t] before this writer *)
+    let w = n.G.id and t = n.G.inputs.(0) in
+    let missing = ref [] in
+    G.iter_consumers_unordered g t (fun c port ->
+        if port = 0 && c <> w then
+          match G.kind g c with
+          | G.Fe r when String.equal r region && not (G.has_order g w ~after:c)
+            ->
+            missing := c :: !missing
+          | _ -> ());
+    if !missing <> [] then begin
+      List.iter
+        (fun fe -> G.add_order g w ~after:fe)
+        (List.sort Int.compare !missing);
+      changed := true
+    end;
     List.iter
       (fun fe ->
         if G.mem g fe then
           match G.kind g fe with
           | G.Fe r when String.equal r region -> (
-            let anchor = List.nth (G.inputs g fe) 0 in
+            let anchor = G.input g fe 0 in
             if t <> anchor then begin
               (* climb this writer's token chain; the step out of the
                  anchor is the canonical target *)
               let rec climb id =
                 match G.kind g id with
                 | (G.St r' | G.Del r') when String.equal r' region ->
-                  let tok = List.nth (G.inputs g id) 0 in
+                  let tok = G.input g id 0 in
                   if tok = anchor then Some id else climb tok
                 | _ -> None
               in
@@ -224,4 +234,8 @@ let run_order_canon g =
 let order_canon = { Pass.name = "order-canon"; run = run_order_canon }
 
 let order_canon_rule =
-  Pass.local "order-canon" (fun g id -> canon_node g (G.node g id))
+  Pass.local "order-canon" (fun g id ->
+      match G.kind g id with
+      | G.Fe _ | G.St _ | G.Del _ -> canon_node g (G.node g id)
+      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ ->
+        false)

@@ -4,8 +4,10 @@ module Obs = Fpfa_obs.Obs
 type t = { name : string; run : Cdfg.Graph.t -> bool }
 
 (* Engine tallies, visible in `fpfa_map ... --stats` (counters are inert
-   until Obs.enable). Per-rule firing counters are registered lazily in
-   run_worklist under "pass.fire.<rule>". *)
+   until Obs.enable). Per-rule counters are registered lazily in
+   run_worklist: firings under "pass.fire.<rule>", and, for runs started
+   with observability on, self time in nanoseconds under
+   "pass.rule_ns.<rule>" over "pass.calls.<rule>" applications. *)
 let c_steps = Obs.counter "pass.steps"
 let c_rewrites = Obs.counter "pass.rewrites"
 let c_enqueues = Obs.counter "pass.enqueues"
@@ -94,6 +96,15 @@ let settled rname rewrite =
 
 type worklist_report = { steps : int; rewrites : int; peak_queue : int }
 
+(* A rule prepared for one engine run, with its counters. *)
+type rewriter = {
+  rw_name : string;
+  fired : Obs.counter;
+  self_ns : Obs.counter;
+  calls : Obs.counter;
+  rewrite : Cdfg.Graph.id -> bool;
+}
+
 let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   Obs.span ~cat:"transform" "worklist"
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
@@ -102,7 +113,10 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
      patch application that produced [seed]). *)
   ignore (G.drain_dirty g);
   let eager, deferred = List.partition (fun r -> not r.settled) rules in
-  let fire_counter r = Obs.counter ("pass.fire." ^ r.rname) in
+  (* The clock is read around each rule application only when
+     observability was on at the start of the run, so the disabled path
+     pays one branch per application. *)
+  let timed = Obs.enabled () in
   (* A seeded run visits only the dirty region, so rules that accumulate
      cross-node state lazily (CSE's value-number table) supply a
      [prepare_seeded] that pre-populates it over the whole graph —
@@ -113,10 +127,17 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     | Some _ -> (Option.value r.prepare_seeded ~default:r.prepare) g
     | None -> r.prepare g
   in
-  let eager_rw = List.map (fun r -> (r.rname, fire_counter r, prep r)) eager in
-  let settled_rw =
-    List.map (fun r -> (r.rname, fire_counter r, prep r)) deferred
+  let rewriter r =
+    {
+      rw_name = r.rname;
+      fired = Obs.counter ("pass.fire." ^ r.rname);
+      self_ns = Obs.counter ("pass.rule_ns." ^ r.rname);
+      calls = Obs.counter ("pass.calls." ^ r.rname);
+      rewrite = prep r;
+    }
   in
+  let eager_rw = List.map rewriter eager in
+  let settled_rw = List.map rewriter deferred in
   let have_settled = settled_rw <> [] in
   (* Two priority tiers. Eager rules (folding, CSE, forwarding, DCE) run
      from the high queue. Settled rules run from the low queue, which is
@@ -128,23 +149,34 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
      fire on transient counts inflated by not-yet-collected dead trees
      makes them rebuild chains that the next collection invalidates again,
      feeding CSE/DCE fresh dead trees forever. *)
-  let pending_hi : (G.id, unit) Hashtbl.t = Hashtbl.create (G.node_count g) in
-  let pending_lo : (G.id, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* One flag byte per id: bit 0 = in the high queue, bit 1 = in the low
+     queue. Grown on demand as rewrites allocate ids. *)
+  let pending = ref (Bytes.make (max 16 (G.id_bound g)) '\000') in
+  let flags id =
+    if id >= Bytes.length !pending then begin
+      let b = Bytes.make (max (id + 1) (2 * Bytes.length !pending)) '\000' in
+      Bytes.blit !pending 0 b 0 (Bytes.length !pending);
+      pending := b
+    end;
+    Char.code (Bytes.unsafe_get !pending id)
+  in
+  let set_flags id f = Bytes.unsafe_set !pending id (Char.unsafe_chr f) in
   let queue_hi = Queue.create () and queue_lo = Queue.create () in
   let enqueue id =
     if G.mem g id then begin
-      if not (Hashtbl.mem pending_hi id) then begin
-        Hashtbl.replace pending_hi id ();
+      let f = flags id in
+      if f land 1 = 0 then begin
         Queue.add id queue_hi;
         Obs.incr c_enqueues
       end;
-      if have_settled && not (Hashtbl.mem pending_lo id) then begin
-        Hashtbl.replace pending_lo id ();
+      if have_settled && f land 2 = 0 then begin
         Queue.add id queue_lo;
         Obs.incr c_enqueues
-      end
+      end;
+      set_flags id (if have_settled then 3 else f lor 1)
     end
   in
+  let enqueue_consumer c _port = enqueue c in
   (* Seed in topological order: producers are simplified before their
      consumers key on them, mirroring the scan order of the whole-graph
      passes. A caller-supplied seed restricts the initial frontier to the
@@ -175,12 +207,12 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     let id, rewriters =
       if not (Queue.is_empty queue_hi) then begin
         let id = Queue.pop queue_hi in
-        Hashtbl.remove pending_hi id;
+        set_flags id (flags id land 2);
         (id, eager_rw)
       end
       else begin
         let id = Queue.pop queue_lo in
-        Hashtbl.remove pending_lo id;
+        set_flags id (flags id land 1);
         (id, settled_rw)
       end
     in
@@ -197,15 +229,31 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
         use_acc := G.Id_set.union !use_acc u;
         G.Id_set.union d u
       in
+      (* One clock read per application: each ends where the previous
+         one's reading left off (reset after a verify hook, whose time
+         is not the rule's). *)
+      let t_last = ref (if timed then Obs.now () else 0.0) in
+      let apply r =
+        if not timed then r.rewrite id
+        else begin
+          let changed = r.rewrite id in
+          let t = Obs.now () in
+          Obs.add r.self_ns (int_of_float ((t -. !t_last) *. 1e9));
+          Obs.incr r.calls;
+          t_last := t;
+          changed
+        end
+      in
       List.iter
-        (fun (rname, fired, rw) ->
-          if G.mem g id && rw id then begin
+        (fun r ->
+          if G.mem g id && apply r then begin
             incr rewrites;
-            Obs.incr fired;
+            Obs.incr r.fired;
             match verify with
             | Some f ->
               let touched = drain_acc () in
-              run_verify f rname g touched
+              run_verify f r.rw_name g touched;
+              if timed then t_last := Obs.now ()
             | None -> ()
           end)
         rewriters;
@@ -227,9 +275,9 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
         (fun d ->
           enqueue d;
           if G.mem g d then begin
-            List.iter (fun (c, _) -> enqueue c) (G.consumers_of g d);
-            List.iter enqueue (G.order_successors g d);
-            List.iter enqueue (G.inputs g d)
+            G.iter_consumers g d enqueue_consumer;
+            G.iter_order_successors g d enqueue;
+            G.iter_inputs g d enqueue
           end)
         def_dirty;
       G.Id_set.iter enqueue use_dirty

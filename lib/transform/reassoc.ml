@@ -8,19 +8,17 @@ let associative = function
     false
 
 (* Collects the leaves of the maximal single-use chain of [op] rooted at
-   [id], left to right, together with the chain's depth. [data_uses]
-   counts data edges only (named outputs do not make a node a chain
-   boundary: its value is unchanged by rebalancing the root above it). *)
-let rec chain_leaves g op ~data_uses id ~is_root =
-  let single_use = data_uses id = 1 in
+   [id], left to right, prepended to [acc]. [data_uses] counts data edges
+   only (named outputs do not make a node a chain boundary: its value is
+   unchanged by rebalancing the root above it). *)
+let rec chain_leaves g op ~data_uses id ~is_root acc =
   match G.kind g id with
-  | G.Binop op' when op' = op && (is_root || single_use) ->
-    let inputs = G.inputs g id in
-    let a = List.nth inputs 0 and b = List.nth inputs 1 in
-    let leaves_a, depth_a = chain_leaves g op ~data_uses a ~is_root:false in
-    let leaves_b, depth_b = chain_leaves g op ~data_uses b ~is_root:false in
-    (leaves_a @ leaves_b, 1 + max depth_a depth_b)
-  | _ -> ([ id ], 0)
+  | G.Binop op' when op' = op && (is_root || data_uses id = 1) ->
+    let b_leaves =
+      chain_leaves g op ~data_uses (G.input g id 1) ~is_root:false acc
+    in
+    chain_leaves g op ~data_uses (G.input g id 0) ~is_root:false b_leaves
+  | _ -> id :: acc
 
 let rec build_balanced g op leaves =
   match leaves with
@@ -59,8 +57,7 @@ let rec canonical_shape g op ~data_uses id ~is_root n =
   if n = 1 then not continues
   else if not continues then false
   else begin
-    let inputs = G.inputs g id in
-    let a = List.nth inputs 0 and b = List.nth inputs 1 in
+    let a = G.input g id 0 and b = G.input g id 1 in
     let mid = (n + 1) / 2 in
     let split x y =
       canonical_shape g op ~data_uses x ~is_root:false mid
@@ -68,6 +65,11 @@ let rec canonical_shape g op ~data_uses id ~is_root n =
     in
     split a b || (Op.commutative op && split b a)
   end
+
+type outcome =
+  | Rebalanced
+  | Canonical  (** a chain root of more than two leaves, already canonical *)
+  | Skipped  (** not a chain root, or too short to rebalance *)
 
 (* Rebalances the chain rooted at [id] into its canonical balanced shape.
    [data_uses id] must count data consumers; [consumer_of id] must
@@ -78,7 +80,7 @@ let rebalance_root g ~data_uses ~consumer_of id =
      them only manufactures fresh dead trees for the next collection. The
      depth-strict guard used to bound that churn implicitly; the
      canonical-shape guard below does not, so exclude them outright. *)
-  | G.Binop _ when G.use_count g id = 0 -> false
+  | G.Binop _ when G.use_count g id = 0 -> Skipped
   | G.Binop op when associative op ->
     (* Only rebalance chain roots: nodes whose consumer is not the same
        single-use chain. *)
@@ -92,19 +94,19 @@ let rebalance_root g ~data_uses ~consumer_of id =
         | _ -> false)
       | _ -> false
     in
-    if is_chain_interior then false
+    if is_chain_interior then Skipped
     else begin
-      let leaves, _depth = chain_leaves g op ~data_uses id ~is_root:true in
+      let leaves = chain_leaves g op ~data_uses id ~is_root:true [] in
       let n = List.length leaves in
-      if n > 2 && not (canonical_shape g op ~data_uses id ~is_root:true n)
-      then begin
+      if n <= 2 then Skipped
+      else if canonical_shape g op ~data_uses id ~is_root:true n then Canonical
+      else begin
         let root, _ = build_balanced g op leaves in
         G.replace_uses g id ~by:root;
-        true
+        Rebalanced
       end
-      else false
     end
-  | _ -> false
+  | _ -> Skipped
 
 let run g =
   let changed = ref false in
@@ -123,8 +125,8 @@ let run g =
   in
   List.iter
     (fun id ->
-      if G.mem g id && rebalance_root g ~data_uses ~consumer_of id then
-        changed := true)
+      if G.mem g id && rebalance_root g ~data_uses ~consumer_of id = Rebalanced
+      then changed := true)
     (G.node_ids g);
   !changed
 
@@ -141,15 +143,34 @@ let pass = { Pass.name = "reassociate"; run }
    counts are only meaningful once DCE has collected every dead tree. If
    rebalancing interleaves with collection at node granularity it keeps
    rebuilding chains whose boundaries were artifacts of dying nodes,
-   handing CSE/DCE fresh duplicates forever (observed on fir-16). *)
+   handing CSE/DCE fresh duplicates forever (observed on fir-16).
+
+   Every settled visit of every chain member walks to the same root and
+   re-checks the whole chain's shape, which makes a long chain cost
+   O(chain) per member. The rule therefore remembers the last root it
+   found canonical together with the graph's generation stamp. Every
+   mutation bumps the stamp, so an equal stamp proves the graph — and
+   with it every use count, chain boundary and shape the check reads —
+   is exactly as it was, and the remembered "no rewrite" is exactly the
+   answer a re-check would compute. Only long-chain roots are
+   remembered: the members of one chain are visited among short
+   two-leaf chains (a FIR's multiplies between its adds), whose cheap
+   checks must not evict the expensive one. The memo lives in the
+   closure [prepare] returns, so it is per run and per graph. *)
 let rule =
-  Pass.settled "reassociate" (fun g id ->
-      let data_uses id = List.length (G.consumers_of g id) in
+  Pass.settled "reassociate" (fun g ->
+      let data_uses id = G.data_use_count g id in
       let consumer_of id =
-        match G.consumers_of g id with
-        | [ (c, _) ] -> Some c
-        | _ -> None
+        if G.data_use_count g id <> 1 then None
+        else begin
+          let c = ref None in
+          G.iter_consumers_unordered g id (fun cid _ -> c := Some cid);
+          !c
+        end
       in
+      (* (root, generation) of the last root found canonical *)
+      let memo_root = ref (-1) and memo_gen = ref (-1) in
+      fun id ->
       let rec root_of id fuel =
         if fuel <= 0 then id
         else
@@ -163,4 +184,13 @@ let rule =
             | _ -> id)
           | _ -> id
       in
-      rebalance_root g ~data_uses ~consumer_of (root_of id (G.node_count g)))
+      let root = root_of id (G.node_count g) in
+      if root = !memo_root && G.generation g = !memo_gen then false
+      else
+        match rebalance_root g ~data_uses ~consumer_of root with
+        | Rebalanced -> true
+        | Canonical ->
+          memo_root := root;
+          memo_gen := G.generation g;
+          false
+        | Skipped -> false)

@@ -38,4 +38,5 @@ let () =
       ("serve", Test_serve.suite);
       ("incr", Test_incr.suite);
       ("identity", Test_identity.suite);
+      ("scaling", Test_scaling.suite);
     ]

@@ -363,6 +363,118 @@ let test_copy_index_independent () =
   G.check_index g;
   G.check_index g'
 
+(* [writer_count] against a naive count of port-0 St/Del consumers, across
+   every mutation that moves a token edge, on a mutable graph and after
+   freezing (which releases the maintained counts). *)
+let test_writer_count () =
+  let g = G.create "writers" in
+  make_region g "r" 4;
+  let ss = G.add g (G.Ss_in "r") [] in
+  let zero = G.add g (G.Const 0) [] and one = G.add g (G.Const 1) [] in
+  let naive t =
+    List.length
+      (List.filter
+         (fun (c, port) ->
+           port = 0
+           && match G.kind g c with G.St _ | G.Del _ -> true | _ -> false)
+         (G.consumers_of g t))
+  in
+  let check what =
+    List.iter
+      (fun id ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: writers of %d" what id)
+          (naive id) (G.writer_count g id))
+      (G.node_ids g);
+    G.check_index g
+  in
+  let fe = G.add g (G.Fe "r") [ ss; zero ] in
+  let st1 = G.add g (G.St "r") [ ss; zero; fe ] in
+  let st2 = G.add g (G.St "r") [ ss; one; one ] in
+  let del = G.add g (G.Del "r") [ st1; one ] in
+  check "built";
+  Alcotest.(check int) "two stores read the entry token" 2
+    (G.writer_count g ss);
+  G.set_inputs g st2 [ st1; one; one ];
+  check "rewired";
+  (* a value edge into a store's port 2 is not a writer edge *)
+  Alcotest.(check int) "fetch feeds a store's value, not its token" 0
+    (G.writer_count g fe);
+  G.replace_uses g st1 ~by:ss;
+  check "replaced";
+  G.remove g del;
+  check "removed";
+  G.freeze g;
+  check "frozen"
+
+(* A constant read by 10k consumers loses them one by one, in a seeded
+   shuffled order, through both removal paths (node removal and
+   rewiring). Each removal is an O(1) back-pointer swap-delete. After
+   every removal the index must hold exactly the surviving (consumer,
+   port) pairs of a naive model — checked as set equality over the raw
+   index, which is O(fan-out) — and every 100 removals the sorted list
+   and iterator views must equal the model's sorted list (each sorted
+   read is O(k log k), so reading it after all 10k removals would cost
+   the suite some twenty seconds). *)
+let test_high_fanout_removal () =
+  let g = G.create "fanout" in
+  let c = G.add g (G.Const 7) [] in
+  let other = G.add g (G.Const 1) [] in
+  let n = 10_000 in
+  (* every third consumer reads [c] on port 1, the rest on port 0 *)
+  let consumers =
+    Array.init n (fun i ->
+        if i mod 3 = 0 then (G.add g (G.Binop Op.Add) [ other; c ], 1)
+        else (G.add g (G.Unop Op.Neg) [ c ], 0))
+  in
+  let rng = Random.State.make [| 0xFA17 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = consumers.(i) in
+    consumers.(i) <- consumers.(j);
+    consumers.(j) <- t
+  done;
+  (* naive model: the expected port of each live consumer, -1 if gone *)
+  let port_of = Array.make (G.id_bound g) (-1) in
+  Array.iter (fun (cid, port) -> port_of.(cid) <- port) consumers;
+  let seen = Array.make (G.id_bound g) (-1) in
+  let sorted_model () =
+    let acc = ref [] in
+    for cid = Array.length port_of - 1 downto 0 do
+      if port_of.(cid) >= 0 then acc := (cid, port_of.(cid)) :: !acc
+    done;
+    !acc
+  in
+  Array.iteri
+    (fun k (cid, port) ->
+      (* alternate between removing the consumer and rewiring it away *)
+      if k mod 2 = 0 then G.remove g cid
+      else if port = 1 then G.set_inputs g cid [ other; other ]
+      else G.set_inputs g cid [ other ];
+      port_of.(cid) <- -1;
+      let live = n - k - 1 in
+      if G.data_use_count g c <> live then
+        Alcotest.failf "data_use_count after removal %d" k;
+      (* [live] distinct entries, each one the model expects *)
+      G.iter_consumers_unordered g c (fun cid' port' ->
+          if port_of.(cid') <> port' || seen.(cid') = k then
+            Alcotest.failf "index entry (%d, %d) after removal %d" cid' port'
+              k;
+          seen.(cid') <- k);
+      if k mod 100 = 0 then begin
+        let expected = sorted_model () in
+        if G.consumers_of g c <> expected then
+          Alcotest.failf "consumers_of after removal %d" k;
+        let listed = ref [] in
+        G.iter_consumers g c (fun cid port -> listed := (cid, port) :: !listed);
+        if List.rev !listed <> expected then
+          Alcotest.failf "iter_consumers after removal %d" k;
+        G.check_index g
+      end)
+    consumers;
+  Alcotest.(check int) "no consumers left" 0 (G.use_count g c);
+  G.check_index g
+
 let suite =
   [
     Alcotest.test_case "add/access" `Quick test_add_and_access;
@@ -388,4 +500,7 @@ let suite =
       test_topo_cache_generation;
     Alcotest.test_case "copy index independence" `Quick
       test_copy_index_independent;
+    Alcotest.test_case "10k-consumer removal vs naive" `Quick
+      test_high_fanout_removal;
+    Alcotest.test_case "writer_count vs naive" `Quick test_writer_count;
   ]

@@ -3,8 +3,9 @@
    remove_order / set_output) are replayed against a naive assoc-list
    reference model, and after {e every} step the graph must agree with
    the model on the node set, kinds, data edges, order edges, the
-   use/def index (consumers, order successors, use counts) and the named
-   outputs — plus the index self-check. The model is deliberately the
+   use/def index (consumers, order successors, use counts, and the
+   allocation-free iterators over them) and the named outputs — plus the
+   index self-check, which includes every data edge's back-pointer. The model is deliberately the
    dumbest possible implementation of the documented semantics; any
    divergence is an arena bug (tombstones, free-list recycling, packed
    duse entries, swap-vs-shift removals).
@@ -182,7 +183,29 @@ let check_agreement ~at g m =
       if List.sort compare (Graph.consumers_of g id) <> m_consumers m id then
         fail "step %d: consumers_of %d" at id;
       if Graph.order_successors g id <> m_order_successors m id then
-        fail "step %d: order_successors of %d" at id)
+        fail "step %d: order_successors of %d" at id;
+      (* the allocation-free accessors answer exactly what the list
+         accessors do, in the same order *)
+      if Graph.data_use_count g id <> List.length (m_consumers m id) then
+        fail "step %d: data_use_count of %d" at id;
+      let collected iter =
+        let acc = ref [] in
+        iter (fun x -> acc := x :: !acc);
+        List.rev !acc
+      in
+      if collected (fun f -> Graph.iter_consumers g id (fun c p -> f (c, p)))
+         <> m_consumers m id
+      then fail "step %d: iter_consumers of %d" at id;
+      if collected (Graph.iter_order_successors g id)
+         <> m_order_successors m id
+      then fail "step %d: iter_order_successors of %d" at id;
+      if collected (Graph.iter_inputs g id) <> mn.minputs then
+        fail "step %d: iter_inputs of %d" at id;
+      List.iter
+        (fun after ->
+          if Graph.has_order g id ~after <> List.mem after mn.mord then
+            fail "step %d: has_order %d ~after:%d" at id after)
+        ids)
     m.mnodes;
   let souts = List.sort (fun (a, _) (b, _) -> String.compare a b) m.mouts in
   if Graph.outputs g <> souts then fail "step %d: named outputs" at;

@@ -1,0 +1,57 @@
+(* Scaling gate for minimisation: the allocation of [Simplify.minimize]
+   must grow close to linearly in raw CDFG nodes over the FIR size family
+   (fir-128/256/500, 1.4k to 5.5k raw nodes). Allocated minor words, not
+   time, are fitted: they are exact for a given build and independent of
+   the host's load, so the gate cannot flake. A rule that goes back to
+   building an O(fan-out) list on every visit pushes the log-log slope
+   well past the bound (the list-building simplifier measured 1.82). *)
+
+module Flow = Fpfa_core.Flow
+module Kernels = Fpfa_kernels.Kernels
+
+let max_exponent = 1.2
+
+let raw_graph (k : Kernels.t) =
+  Flow.Staged.raw_graph
+    (Flow.Staged.of_source ~config:Flow.default_config ~func:"main"
+       k.Kernels.source)
+
+(* (raw nodes, minor words allocated by one minimisation) *)
+let measure k =
+  let g = Cdfg.Graph.copy (raw_graph k) in
+  let nodes = Cdfg.Graph.node_count g in
+  let w0 = Gc.minor_words () in
+  ignore (Transform.Simplify.minimize ~validate:false g);
+  (float_of_int nodes, Gc.minor_words () -. w0)
+
+(* least-squares slope of log y against log x *)
+let loglog_slope points =
+  let pts = List.map (fun (x, y) -> (log x, log y)) points in
+  let n = float_of_int (List.length pts) in
+  let mean f = List.fold_left (fun acc p -> acc +. f p) 0.0 pts /. n in
+  let mx = mean fst and my = mean snd in
+  let cov = mean (fun (x, y) -> (x -. mx) *. (y -. my)) in
+  let var = mean (fun (x, _) -> (x -. mx) *. (x -. mx)) in
+  cov /. var
+
+let test_fir_family () =
+  let points = List.map (fun taps -> measure (Kernels.fir ~taps)) [ 128; 256; 500 ] in
+  let slope = loglog_slope points in
+  if slope > max_exponent then
+    Alcotest.failf "minimise allocation exponent %.2f > %.2f over %s" slope
+      max_exponent
+      (String.concat ", "
+         (List.map
+            (fun (x, y) -> Printf.sprintf "%.0f nodes: %.0f words" x y)
+            points))
+
+let test_slope_fit () =
+  Alcotest.(check (float 1e-9)) "exact power law" 1.5
+    (loglog_slope [ (1.0, 1.0); (4.0, 8.0); (16.0, 64.0) ])
+
+let suite =
+  [
+    Alcotest.test_case "log-log fit" `Quick test_slope_fit;
+    Alcotest.test_case "minimise words exponent <= 1.2 on fir family" `Quick
+      test_fir_family;
+  ]
