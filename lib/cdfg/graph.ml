@@ -44,15 +44,16 @@ type region_info = { size : int option; implicit : bool }
    [dpos] is the back-pointer of every input cell: [dpos.(3*cid + port)]
    is the slot of the edge [(cid lsl 2) lor port] in its producer's
    [duse] array. It turns data-edge removal into an O(1) swap-delete
-   however many consumers the producer has (a constant or token shared
-   by thousands of readers used to make every removal O(fan-out)). The
-   swap itself is the one the linear scan performed, so [duse] contents
-   are unchanged. [writers.(p)] counts the data edges of [duse.(p)] that
-   are the token input (port 0) of a store or delete, so a reader of a
-   token can learn in O(1) that no writer consumes it instead of scanning
-   its (possibly thousands of) fetch siblings. A frozen graph can never
-   be mutated, so [freeze] releases both arrays and {!copy} rebuilds them
-   in one pass over [duse]. *)
+   however many consumers the producer has (a constant or token can feed
+   thousands of readers); the swap is the one a scan for the entry would
+   perform, so [duse] contents do not depend on it. [writers.(p)] counts
+   the data edges of [duse.(p)] that are the token input (port 0) of a
+   store or delete, so a reader of a token can learn in O(1) that no
+   writer consumes it instead of scanning its fetch siblings. Both are
+   materialised ([indexed]) by the first data-edge removal or writer
+   query and maintained from then on: graphs that are only built, copied
+   or read — raw graphs, snapshots, everything the serve cache holds
+   frozen — never carry them. *)
 type t = {
   fname : string;
   region_tbl : (string, region_info) Hashtbl.t;
@@ -66,12 +67,11 @@ type t = {
   mutable ord_len : int array;
   mutable duse : int array array;
   mutable duse_len : int array;
+  mutable indexed : bool;  (** [dpos] and [writers] are materialised *)
   mutable dpos : int array;
-      (** 3 cells per slot: the [duse] slot of each input edge; empty
-          once frozen *)
+      (** 3 cells per slot: the [duse] slot of each input edge *)
   mutable writers : int array;
-      (** per producer: St/Del consumers reading it on port 0; empty once
-          frozen *)
+      (** per producer: St/Del consumers reading it on port 0 *)
   mutable ouse : int array array;
   mutable ouse_len : int array;
   mutable out_uses : int array;
@@ -118,6 +118,7 @@ let create fname =
     ord_len = [||];
     duse = [||];
     duse_len = [||];
+    indexed = false;
     dpos = [||];
     writers = [||];
     ouse = [||];
@@ -173,9 +174,14 @@ let grow g cap' =
   let ins' = Array.make (3 * cap') 0 in
   Array.blit g.ins 0 ins' 0 (3 * cap);
   g.ins <- ins';
-  let dpos' = Array.make (3 * cap') 0 in
-  Array.blit g.dpos 0 dpos' 0 (3 * cap);
-  g.dpos <- dpos';
+  if g.indexed then begin
+    let dpos' = Array.make (3 * cap') 0 in
+    Array.blit g.dpos 0 dpos' 0 (3 * cap);
+    g.dpos <- dpos';
+    let writers' = Array.make cap' 0 in
+    Array.blit g.writers 0 writers' 0 cap;
+    g.writers <- writers'
+  end;
   let copy_adj arrs =
     let a' = Array.make cap' no_ints in
     Array.blit arrs 0 a' 0 cap;
@@ -193,7 +199,6 @@ let grow g cap' =
   g.ouse <- copy_adj g.ouse;
   g.ouse_len <- copy_len g.ouse_len;
   g.out_uses <- copy_len g.out_uses;
-  g.writers <- copy_len g.writers;
   let moved' = Array.make cap' (-1) in
   Array.blit g.moved 0 moved' 0 cap;
   g.moved <- moved'
@@ -285,23 +290,45 @@ let adj_clear g arrs lens i =
 (* {2 Data edges}
 
    Every data-edge insertion and deletion goes through these two, which
-   keep the [dpos] back-pointer of input cell [3*cid + port] naming the
-   slot of the packed entry [(cid lsl 2) lor port] in [duse.(producer)],
-   and the [writers] count of the producer. *)
+   (once [indexed]) keep the [dpos] back-pointer of input cell
+   [3*cid + port] naming the slot of the packed entry
+   [(cid lsl 2) lor port] in [duse.(producer)], and the [writers] count
+   of the producer. *)
 
 let is_writer_edge kind port =
   port = 0 && match kind with St _ | Del _ -> true | _ -> false
 
+(* One pass over [duse]; only ever run on a mutable graph. *)
+let ensure_indexed g =
+  if not g.indexed then begin
+    let cap = Array.length g.kinds in
+    let dpos = Array.make (3 * cap) 0 and writers = Array.make cap 0 in
+    for p = 0 to g.next_id - 1 do
+      let a = g.duse.(p) in
+      for j = 0 to g.duse_len.(p) - 1 do
+        let cid = a.(j) lsr 2 and port = a.(j) land 3 in
+        dpos.((3 * cid) + port) <- j;
+        if is_writer_edge g.kinds.(cid) port then
+          writers.(p) <- writers.(p) + 1
+      done
+    done;
+    g.dpos <- dpos;
+    g.writers <- writers;
+    g.indexed <- true
+  end
+
 let duse_push g producer cid port =
-  g.dpos.((3 * cid) + port) <- g.duse_len.(producer);
-  if is_writer_edge g.kinds.(cid) port then
-    g.writers.(producer) <- g.writers.(producer) + 1;
+  if g.indexed then begin
+    g.dpos.((3 * cid) + port) <- g.duse_len.(producer);
+    if is_writer_edge g.kinds.(cid) port then
+      g.writers.(producer) <- g.writers.(producer) + 1
+  end;
   adj_push g g.duse g.duse_len producer ((cid lsl 2) lor port)
 
-(* O(1) unordered delete: the same swap with the last entry that
-   [adj_remove_swap] performs, located through the back-pointer instead
-   of a scan. *)
+(* O(1) unordered delete: swaps the last entry into the edge's slot,
+   located through the back-pointer instead of a scan. *)
 let duse_remove g producer cid port =
+  ensure_indexed g;
   let j = g.dpos.((3 * cid) + port) in
   let a = g.duse.(producer) in
   let last = g.duse_len.(producer) - 1 in
@@ -424,9 +451,12 @@ let data_use_count g id =
 
 let writer_count g id =
   if id < 0 || id >= g.next_id then 0
-  else if not g.frozen then g.writers.(id)
+  else if not g.frozen then begin
+    ensure_indexed g;
+    g.writers.(id)
+  end
   else begin
-    (* released by [freeze]: count from the use index *)
+    (* a frozen graph is shared read-only: count from the use index *)
     let a = g.duse.(id) and c = ref 0 in
     for j = 0 to g.duse_len.(id) - 1 do
       if is_writer_edge g.kinds.(a.(j) lsr 2) (a.(j) land 3) then incr c
@@ -604,7 +634,7 @@ let replace_uses g old ~by =
          duse_push g by cid port;
          mark_def g cid
        done;
-       g.writers.(old) <- 0;
+       if g.indexed then g.writers.(old) <- 0;
        if len > 0 then adj_clear g g.duse g.duse_len old
      end);
     (* Order edges: re-point, deduplicate, and never create a self edge. *)
@@ -894,8 +924,9 @@ let freeze g =
     (* Fill the topo cache first: frozen readers on other domains then
        share one precomputed order and never write to the cache. *)
     ignore (topo_order g);
-    (* No mutation can follow, so the back-pointers are dead weight —
+    (* No mutation can follow, so the removal index is dead weight —
        and the serve cache keeps every graph it holds frozen. *)
+    g.indexed <- false;
     g.dpos <- [||];
     g.writers <- [||];
     g.frozen <- true
@@ -998,10 +1029,9 @@ let index_errors g =
   if !idx_data <> !exp_data then
     errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
       !exp_data;
-  (* Every indexed data edge's back-pointer names its own slot, and each
-     producer's writer count matches its indexed edges (frozen graphs
-     have released both). *)
-  if not g.frozen then
+  (* Once materialised, every indexed data edge's back-pointer names its
+     own slot, and each producer's writer count matches its edges. *)
+  if g.indexed then
     for p = 0 to n - 1 do
       let a = g.duse.(p) in
       let w = ref 0 in
@@ -1175,17 +1205,6 @@ let copy g =
     Array.init n (fun i ->
         if lens.(i) = 0 then no_ints else Array.sub arrs.(i) 0 lens.(i))
   in
-  (* Rebuilt rather than copied: a frozen source has released them. *)
-  let dpos = Array.make (3 * n) 0 and writers = Array.make n 0 in
-  for p = 0 to n - 1 do
-    let a = g.duse.(p) in
-    for j = 0 to g.duse_len.(p) - 1 do
-      let cid = a.(j) lsr 2 and port = a.(j) land 3 in
-      dpos.((3 * cid) + port) <- j;
-      if is_writer_edge g.kinds.(cid) port then
-        writers.(p) <- writers.(p) + 1
-    done
-  done;
   {
     fname = g.fname;
     region_tbl = Hashtbl.copy g.region_tbl;
@@ -1199,8 +1218,9 @@ let copy g =
     ord_len = Array.sub g.ord_len 0 n;
     duse = copy_adj g.duse g.duse_len;
     duse_len = Array.sub g.duse_len 0 n;
-    dpos;
-    writers;
+    indexed = false;
+    dpos = [||];
+    writers = [||];
     ouse = copy_adj g.ouse g.ouse_len;
     ouse_len = Array.sub g.ouse_len 0 n;
     out_uses = Array.sub g.out_uses 0 n;

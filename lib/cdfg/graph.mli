@@ -174,7 +174,8 @@ val data_use_count : t -> id -> int
 val writer_count : t -> id -> int
 (** Number of [St]/[Del] nodes reading the node as their token input
     (port 0) — the writers of that token version. O(1) on a mutable
-    graph (maintained with the use index), O(degree) once frozen. *)
+    graph (the first query or data-edge removal materialises the counts
+    in one linear pass), O(degree) on a frozen one. *)
 
 val has_order : t -> id -> after:id -> bool
 (** [has_order g id ~after] is [List.mem after (order_after g id)]

@@ -73,23 +73,21 @@ let writer_of_region region kind =
   | G.St r | G.Del r -> String.equal r region
   | _ -> false
 
-(* Token version -> the writers consuming it (at port 0). The walk below
-   visits O(token-chain length) versions per fetch; resolving each step
-   through the graph's consumer index costs a fold-and-sort every time,
-   which dominates pruning on long store chains. Callers that examine
-   many fetches should build this once and pass it in. *)
-type writer_index = (G.id, G.id list) Hashtbl.t
+(* Token version -> the writers consuming it (at port 0), indexed by id.
+   The walk below visits O(token-chain length) versions per fetch;
+   resolving each step through the graph's consumer index costs a
+   fold-and-sort every time, which dominates pruning on long store
+   chains. Callers that examine many fetches should build this once and
+   pass it in. *)
+type writer_index = G.id list array
 
 let writer_index g : writer_index =
-  let tbl = Hashtbl.create 64 in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | (G.St _ | G.Del _) when Array.length n.G.inputs > 0 ->
-        let tok = n.G.inputs.(0) in
-        let prev =
-          match Hashtbl.find_opt tbl tok with Some l -> l | None -> []
-        in
-        Hashtbl.replace tbl tok (n.G.id :: prev)
+  let tbl = Array.make (G.id_bound g) [] in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.St _ | G.Del _ ->
+        let tok = G.input g id 0 in
+        tbl.(tok) <- id :: tbl.(tok)
       | _ -> ());
   tbl
 
@@ -106,26 +104,26 @@ let needed_writers ?index ~oracle g f =
     | _ -> invalid_arg "Disambig.needed_writers: not a fetch"
   in
   let index = match index with Some i -> i | None -> writer_index g in
-  let visited = Hashtbl.create 8 in
+  (* Every writer reads exactly one token, so the versions below the
+     fetch's form a tree and the walk never meets a version twice; the
+     fuel only stops a corrupted, cyclic chain from hanging the caller. *)
+  let fuel = ref (Array.length index) in
   let needed = ref [] in
   let rec walk token =
-    if not (Hashtbl.mem visited token) then begin
-      Hashtbl.add visited token ();
-      match Hashtbl.find_opt index token with
-      | None -> ()
-      | Some writers ->
-        List.iter
-          (fun c ->
-            if writer_of_region region (G.kind g c) then
-              match oracle f c with
-              | Disjoint -> walk c
-              | rel ->
-                if not (List.mem_assoc c !needed) then
-                  needed := (c, rel) :: !needed)
-          writers
+    if !fuel > 0 && token < Array.length index then begin
+      decr fuel;
+      List.iter
+        (fun c ->
+          if writer_of_region region (G.kind g c) then
+            match oracle f c with
+            | Disjoint -> walk c
+            | rel ->
+              if not (List.mem_assoc c !needed) then
+                needed := (c, rel) :: !needed)
+        index.(token)
     end
   in
-  walk (G.node g f).G.inputs.(0);
+  walk (G.input g f 0);
   !needed
 
 (* Data-only reachability (order edges excluded). Used to detect
@@ -137,11 +135,25 @@ let needed_writers ?index ~oracle g f =
    transitive closure (quadratic in time and memory on long token
    chains) is waste; instead, one DFS per queried fetch over dense
    adjacency arrays marks its data cone, and membership is an array
-   read. *)
+   read.
+
+   The DFS is also bounded by topological position. Every edge of a
+   path goes forward in the topological order, so a path from the fetch
+   to a writer only crosses positions between the two: a forward cone
+   that only needs to answer for writers up to position [within] can
+   stop there, and a backward cone likewise. Without the bound, the
+   forward cone of every fetch on a delay line would run down the rest
+   of the token chain, making pruning quadratic in the chain length.
+   Visits are stamped in one array per direction, so a cone costs only
+   the nodes it visits. *)
 type data_reach = {
   bound : int;  (** exclusive upper bound on node ids *)
   preds : G.id array array;  (** data inputs, indexed by id *)
   succs : G.id list array;  (** data consumers, indexed by id *)
+  pos : int array;  (** topological position, indexed by id *)
+  fwd_seen : int array;  (** stamp of the cone that last visited an id *)
+  bwd_seen : int array;
+  mutable stamp : int;
 }
 
 let data_reach g =
@@ -151,21 +163,38 @@ let data_reach g =
   G.iter g (fun n ->
       preds.(n.G.id) <- n.G.inputs;
       Array.iter (fun i -> succs.(i) <- n.G.id :: succs.(i)) n.G.inputs);
-  { bound; preds; succs }
+  let pos = Array.make bound 0 in
+  List.iteri (fun i id -> pos.(id) <- i) (G.topo_order g);
+  {
+    bound;
+    preds;
+    succs;
+    pos;
+    fwd_seen = Array.make bound (-1);
+    bwd_seen = Array.make bound (-1);
+    stamp = 0;
+  }
 
-(* [cone r ~forward src] marks everything data-reachable from [src] and
-   returns the membership test. *)
-let cone r ~forward src =
-  let seen = Bytes.make r.bound '\000' in
+(* [cone r ~forward ~within src] marks what is data-reachable from [src]
+   (forward) or reaches it (backward) and returns the membership test,
+   exact for every id whose position is at most [within] (forward) or at
+   least [within] (backward). The test stays valid until the next cone
+   in the same direction. *)
+let cone r ~forward ~within src =
+  r.stamp <- r.stamp + 1;
+  let s = r.stamp in
+  let seen = if forward then r.fwd_seen else r.bwd_seen in
   let rec visit id =
-    if Bytes.get seen id = '\000' then begin
-      Bytes.set seen id '\001';
-      if forward then List.iter visit r.succs.(id)
-      else Array.iter visit r.preds.(id)
+    if seen.(id) <> s then begin
+      seen.(id) <- s;
+      if forward then
+        List.iter (fun c -> if r.pos.(c) <= within then visit c) r.succs.(id)
+      else
+        Array.iter (fun p -> if r.pos.(p) >= within then visit p) r.preds.(id)
     end
   in
   visit src;
-  fun id -> id < r.bound && Bytes.get seen id = '\001'
+  fun id -> id < r.bound && seen.(id) = s
 
 type decision = {
   fetch : G.id;
@@ -183,9 +212,25 @@ let decide ~oracle ~index g reach f =
       (G.order_successors g f)
   in
   (* both cones are computed at most once per fetch, and only for fetches
-     that actually have edges or needed writers to examine *)
-  let descendants = lazy (cone reach ~forward:true f) in
-  let ancestors_of_f = lazy (cone reach ~forward:false f) in
+     that actually have edges or needed writers to examine; each spans
+     just the positions of the writers it is asked about *)
+  let descendants =
+    lazy
+      (let within =
+         List.fold_left
+           (fun m w -> max m reach.pos.(w))
+           (List.fold_left (fun m (w, _) -> max m reach.pos.(w)) (-1) needed)
+           existing
+       in
+       cone reach ~forward:true ~within f)
+  in
+  let ancestors_of_f =
+    lazy
+      (let within =
+         List.fold_left (fun m (w, _) -> min m reach.pos.(w)) max_int needed
+       in
+       cone reach ~forward:false ~within f)
+  in
   let implied w = (Lazy.force descendants) w in
   let drop = ref [] and link = ref [] in
   let kept_alias = ref 0 and kept_unknown = ref 0 in

@@ -44,20 +44,20 @@ let resolve g ~offset token =
 
 (* One fetch's worth of forwarding; shared by the whole-graph pass and the
    worklist rule. *)
-let forward_fetch g (n : G.node) =
-  match n.G.kind with
+let forward_fetch g id =
+  match G.kind g id with
   | G.Fe _ -> (
-    let token = n.G.inputs.(0) and offset = n.G.inputs.(1) in
+    let token = G.input g id 0 and offset = G.input g id 1 in
     match resolve g ~offset token with
     | Value v ->
       (* the read disappears, and with it the anti-dependences that
          protected it *)
-      G.drop_order_references g n.G.id;
-      G.replace_uses g n.G.id ~by:v;
+      G.drop_order_references g id;
+      G.replace_uses g id ~by:v;
       true
     | Anchor anchor ->
       if anchor <> token then begin
-        G.set_inputs g n.G.id [ anchor; offset ];
+        G.set_inputs g id [ anchor; offset ];
         true
       end
       else false)
@@ -68,15 +68,13 @@ let forward_fetch g (n : G.node) =
 let run_store_to_fetch g =
   let changed = ref false in
   List.iter
-    (fun id ->
-      if G.mem g id && forward_fetch g (G.node g id) then changed := true)
+    (fun id -> if G.mem g id && forward_fetch g id then changed := true)
     (G.node_ids g);
   !changed
 
 let store_to_fetch = { Pass.name = "store-to-fetch"; run = run_store_to_fetch }
 
-let store_to_fetch_rule =
-  Pass.local "store-to-fetch" (fun g id -> forward_fetch g (G.node g id))
+let store_to_fetch_rule = Pass.local "store-to-fetch" forward_fetch
 
 let token_mutator g id =
   match G.kind g id with
@@ -97,27 +95,26 @@ let region_of g id =
     invalid_arg "region_of: node has no region"
 
 (* One store/delete's worth of dead-store bypassing, reading the live
-   use/def index. *)
-let bypass_dead_store g (n : G.node) =
-  (* the use count rules out a token with many readers before the
-     O(degree log degree) sorted consumer list is built *)
-  if not (token_mutator g n.G.id) || G.data_use_count g n.G.id <> 1 then false
+   use/def index. The use count rules out a token with many readers
+   before the sorted consumer list is built. *)
+let bypass_dead_store g id =
+  if G.data_use_count g id <> 1 || not (token_mutator g id) then false
   else
-    match G.consumers_of g n.G.id with
+    match G.consumers_of g id with
     | [ (consumer, 0) ]
       when G.mem g consumer
            && token_mutator g consumer
-           && String.equal (region_of g n.G.id) (region_of g consumer)
-           && relate g (offset_of g n.G.id) (offset_of g consumer) = Equal -> (
+           && String.equal (region_of g id) (region_of g consumer)
+           && relate g (offset_of g id) (offset_of g consumer) = Equal -> (
       (* The consumer overwrites this node's cell before anyone fetches
          it: bypass. Ordering constraints migrate to the consumer. *)
       match G.inputs g consumer with
-      | prev_token :: rest when prev_token = n.G.id ->
-        let my_token = List.nth (G.inputs g n.G.id) 0 in
+      | prev_token :: rest when prev_token = id ->
+        let my_token = G.input g id 0 in
         G.set_inputs g consumer (my_token :: rest);
         List.iter
           (fun before -> G.add_order g consumer ~after:before)
-          (G.order_after g n.G.id);
+          (G.order_after g id);
         true
       | _ -> false)
     | _ -> false
@@ -125,16 +122,12 @@ let bypass_dead_store g (n : G.node) =
 let run_dead_store g =
   let changed = ref false in
   List.iter
-    (fun id ->
-      if G.mem g id && bypass_dead_store g (G.node g id) then changed := true)
+    (fun id -> if G.mem g id && bypass_dead_store g id then changed := true)
     (G.node_ids g);
   !changed
 
 let dead_store = { Pass.name = "dead-store"; run = run_dead_store }
-
-let dead_store_rule =
-  Pass.local "dead-store" (fun g id ->
-      G.data_use_count g id = 1 && bypass_dead_store g (G.node g id))
+let dead_store_rule = Pass.local "dead-store" bypass_dead_store
 
 (* {2 Token-order canonical form}
 
@@ -163,11 +156,11 @@ let dead_store_rule =
    hits all append to one [order_after] list, whose order is observable,
    so they are collected and added in ascending id order. *)
 
-let canon_node g (n : G.node) =
+let canon_node g id =
   let changed = ref false in
-  (match n.G.kind with
+  (match G.kind g id with
   | G.Fe region ->
-    let fe = n.G.id and t = n.G.inputs.(0) in
+    let fe = id and t = G.input g id 0 in
     (* a read-only token (no writer consumes it) needs no scan *)
     if G.writer_count g t > 0 then
       G.iter_consumers_unordered g t (fun w port ->
@@ -180,7 +173,8 @@ let canon_node g (n : G.node) =
             | _ -> ())
   | G.St region | G.Del region ->
     (* orders every fetch of token version [t] before this writer *)
-    let w = n.G.id and t = n.G.inputs.(0) in
+    let w = id and t = G.input g id 0 in
+    let order_after = G.order_after g w in
     let missing = ref [] in
     G.iter_consumers_unordered g t (fun c port ->
         if port = 0 && c <> w then
@@ -211,15 +205,15 @@ let canon_node g (n : G.node) =
                   if tok = anchor then Some id else climb tok
                 | _ -> None
               in
-              match climb n.G.id with
-              | Some w0 when w0 <> n.G.id ->
-                G.remove_order g n.G.id ~after:fe;
+              match climb w with
+              | Some w0 when w0 <> w ->
+                G.remove_order g w ~after:fe;
                 G.add_order g w0 ~after:fe;
                 changed := true
               | Some _ | None -> ()
             end)
           | _ -> ())
-      n.G.order_after
+      order_after
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ -> ());
   !changed
 
@@ -227,15 +221,10 @@ let run_order_canon g =
   let changed = ref false in
   List.iter
     (fun id ->
-      if G.mem g id && canon_node g (G.node g id) then changed := true)
+      if G.mem g id && canon_node g id then changed := true)
     (G.node_ids g);
   !changed
 
 let order_canon = { Pass.name = "order-canon"; run = run_order_canon }
 
-let order_canon_rule =
-  Pass.local "order-canon" (fun g id ->
-      match G.kind g id with
-      | G.Fe _ | G.St _ | G.Del _ -> canon_node g (G.node g id)
-      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ ->
-        false)
+let order_canon_rule = Pass.local "order-canon" canon_node
