@@ -479,8 +479,8 @@ let iter_inputs g id f =
     f g.ins.(base + p)
   done
 
-(* Applies [f] to the first [len] entries of [a] in ascending order
-   without allocating for short runs (the common degree): entries are
+(* Applies [f] to the first [len] entries of [a] in ascending order,
+   in place for short runs (the common degree): entries are
    distinct (a packed data edge lives in exactly one slot; the order index
    has set semantics), so repeatedly selecting the least entry above the
    previous one enumerates them in order. Longer runs are read from a

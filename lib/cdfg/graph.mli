@@ -188,9 +188,9 @@ val iter_inputs : t -> id -> (id -> unit) -> unit
 
 val iter_consumers : t -> id -> (id -> int -> unit) -> unit
 (** [iter_consumers g id f] calls [f consumer port] in the order of
-    {!consumers_of} (ascending), without building the list. Degree-16
-    and smaller producers allocate nothing. [f] must not mutate the
-    graph. *)
+    {!consumers_of} (ascending), without building the list; producers of
+    degree 16 or less are enumerated in place, larger ones through one
+    sorted copy of their use array. [f] must not mutate the graph. *)
 
 val iter_order_successors : t -> id -> (id -> unit) -> unit
 (** {!order_successors} in its (ascending) order, without the list, on

@@ -14,7 +14,9 @@
 module Flow = Fpfa_core.Flow
 module Kernels = Fpfa_kernels.Kernels
 
-let table_file = "identity.expected"
+(* dune copies the table next to the test binary ([deps] in test/dune) *)
+let table_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "identity.expected"
 
 let programs () =
   Kernels.all
