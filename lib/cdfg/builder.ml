@@ -186,6 +186,9 @@ let build ?(delete_locals = false) { Ast_in.func; env } =
       ignore (Graph.add graph (Graph.Ss_out sym.name) [ token st sym.name ]))
     env;
   Graph.validate graph;
+  (* Every [add] above journalled its node; a raw graph is kept (and
+     cached) as built, so it should not hold that journal. *)
+  Graph.clear_journal graph;
   graph
 
 let build_func ?delete_locals func = build ?delete_locals (Ast_in.of_func func)

@@ -91,10 +91,15 @@ type t = {
       (** memoized forward cone hashes ({!Serialize.down_hashes}),
           stamped with the generation like the topo cache; the array is
           shared with readers and must never be mutated *)
-  mutable dirty_def : Id_set.t;
-      (** nodes whose own definition (inputs / order edges) changed *)
-  mutable dirty_use : Id_set.t;
-      (** nodes that lost a use (a consumer was rewired or removed) *)
+  mutable jflags : Bytes.t;
+      (** mutation journal, one byte per id: bit 0 = def-dirty (the
+          node's own definition — inputs, order edges, existence —
+          changed), bit 1 = use-dirty (it lost a use); [Bytes.empty]
+          until the first mark *)
+  mutable jdef : int array;  (** ids with bit 0 set, in marking order *)
+  mutable jdef_len : int;
+  mutable juse : int array;  (** ids with bit 1 set, in marking order *)
+  mutable juse_len : int;
 }
 
 exception Invalid of string
@@ -130,8 +135,11 @@ let create fname =
     generation = 0;
     topo_cache = None;
     cone_cache = None;
-    dirty_def = Id_set.empty;
-    dirty_use = Id_set.empty;
+    jflags = Bytes.empty;
+    jdef = no_ints;
+    jdef_len = 0;
+    juse = no_ints;
+    juse_len = 0;
   }
 
 let name g = g.fname
@@ -404,14 +412,138 @@ let id_bound g = g.next_id
 (* {2 Journal plumbing} *)
 
 let touch g = g.generation <- g.generation + 1
-let mark_def g id = g.dirty_def <- Id_set.add id g.dirty_def
-let mark_use g id = g.dirty_use <- Id_set.add id g.dirty_use
+
+(* The journal is a flag byte per id plus one stack per flag: marking an
+   id tests and sets its bit and pushes the id only on the 0 -> 1
+   transition, so a mark is O(1), idempotent and allocates only when a
+   stack or the flag bytes grow. Draining clears the bits of the stacked
+   ids alone, never the whole flag array. Ids outside [0, next_id) name
+   no node and are not journalled. *)
+let journal_reserve g id =
+  let len = Bytes.length g.jflags in
+  if id >= len then begin
+    let b = Bytes.make (max (id + 1) (max 16 (Array.length g.kinds))) '\000' in
+    Bytes.blit g.jflags 0 b 0 len;
+    g.jflags <- b
+  end
+
+let stack_push a len id =
+  let a =
+    if len < Array.length a then a
+    else begin
+      let a' = Array.make (max 16 (2 * len)) 0 in
+      Array.blit a 0 a' 0 len;
+      a'
+    end
+  in
+  Array.unsafe_set a len id;
+  a
+
+let mark g bit id =
+  if id >= 0 && id < g.next_id then begin
+    journal_reserve g id;
+    let f = Char.code (Bytes.unsafe_get g.jflags id) in
+    if f land bit = 0 then begin
+      Bytes.unsafe_set g.jflags id (Char.unsafe_chr (f lor bit));
+      if bit = 1 then begin
+        g.jdef <- stack_push g.jdef g.jdef_len id;
+        g.jdef_len <- g.jdef_len + 1
+      end
+      else begin
+        g.juse <- stack_push g.juse g.juse_len id;
+        g.juse_len <- g.juse_len + 1
+      end
+    end
+  end
+
+let mark_def g id = mark g 1 id
+let mark_use g id = mark g 2 id
+
+(* Empties both stacks, clearing only the bits of the stacked ids. *)
+let journal_reset g =
+  for j = 0 to g.jdef_len - 1 do
+    let id = Array.unsafe_get g.jdef j in
+    let f = Char.code (Bytes.unsafe_get g.jflags id) in
+    Bytes.unsafe_set g.jflags id (Char.unsafe_chr (f land 2))
+  done;
+  for j = 0 to g.juse_len - 1 do
+    let id = Array.unsafe_get g.juse j in
+    let f = Char.code (Bytes.unsafe_get g.jflags id) in
+    Bytes.unsafe_set g.jflags id (Char.unsafe_chr (f land 1))
+  done;
+  g.jdef_len <- 0;
+  g.juse_len <- 0
 
 let drain_dirty g =
-  let d = g.dirty_def and u = g.dirty_use in
-  g.dirty_def <- Id_set.empty;
-  g.dirty_use <- Id_set.empty;
+  let to_set a len =
+    let s = ref Id_set.empty in
+    for j = 0 to len - 1 do
+      s := Id_set.add a.(j) !s
+    done;
+    !s
+  in
+  let d = to_set g.jdef g.jdef_len and u = to_set g.juse g.juse_len in
+  journal_reset g;
   (d, u)
+
+(* In-place ascending sort of [a.(0 .. len-1)]: insertion sort for the
+   few ids a typical rewrite dirties, heapsort beyond, so a drain never
+   allocates whatever the fan-out of the rewrite. *)
+let sort_prefix a len =
+  if len <= 16 then
+    for i = 1 to len - 1 do
+      let v = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get a !j > v do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) v
+    done
+  else begin
+    let rec sift i n =
+      let l = (2 * i) + 1 in
+      if l < n then begin
+        let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+        if a.(c) > a.(i) then begin
+          let t = a.(c) in
+          a.(c) <- a.(i);
+          a.(i) <- t;
+          sift c n
+        end
+      end
+    in
+    for i = (len / 2) - 1 downto 0 do
+      sift i len
+    done;
+    for e = len - 1 downto 1 do
+      let t = a.(e) in
+      a.(e) <- a.(0);
+      a.(0) <- t;
+      sift 0 e
+    done
+  end
+
+let drain_dirty_iter g ~def ~use =
+  let dlen = g.jdef_len and ulen = g.juse_len in
+  sort_prefix g.jdef dlen;
+  sort_prefix g.juse ulen;
+  journal_reset g;
+  (* The stacks keep their contents past the reset lengths; the
+     callbacks must not mutate the graph, so nothing overwrites them. *)
+  for j = 0 to dlen - 1 do
+    def (Array.unsafe_get g.jdef j)
+  done;
+  for j = 0 to ulen - 1 do
+    use (Array.unsafe_get g.juse j)
+  done
+
+let clear_journal g =
+  g.jflags <- Bytes.empty;
+  g.jdef <- no_ints;
+  g.jdef_len <- 0;
+  g.juse <- no_ints;
+  g.juse_len <- 0
 
 let generation g = g.generation
 
@@ -479,37 +611,53 @@ let iter_inputs g id f =
     f g.ins.(base + p)
   done
 
-(* Applies [f] to the first [len] entries of [a] in ascending order,
-   in place for short runs (the common degree): entries are
-   distinct (a packed data edge lives in exactly one slot; the order index
-   has set semantics), so repeatedly selecting the least entry above the
-   previous one enumerates them in order. Longer runs are read from a
-   sorted copy. *)
-let iter_sorted a len f =
-  if len <= 16 then begin
-    let prev = ref min_int in
-    for _ = 1 to len do
-      let m = ref max_int in
-      for j = 0 to len - 1 do
-        let v = Array.unsafe_get a j in
-        if v > !prev && v < !m then m := v
-      done;
-      prev := !m;
-      f !m
-    done
-  end
-  else begin
-    let s = Array.sub a 0 len in
-    Array.sort Int.compare s;
-    Array.iter f s
-  end
+(* Ascending enumeration of the first [len] entries of [a], in place for
+   short runs (the common degree): entries are distinct (a packed data
+   edge lives in exactly one slot; the order index has set semantics), so
+   repeatedly selecting the least entry above the previous one enumerates
+   them in order. Longer runs are read from a sorted copy. The two
+   callers inline the loop rather than share a closure-taking helper, so
+   the short path allocates nothing. *)
+let least_above a len prev =
+  let m = ref max_int in
+  for j = 0 to len - 1 do
+    let v = Array.unsafe_get a j in
+    if v > prev && v < !m then m := v
+  done;
+  !m
+
+let sorted_copy a len =
+  let s = Array.sub a 0 len in
+  Array.sort Int.compare s;
+  s
 
 let iter_consumers g id f =
-  if id >= 0 && id < g.next_id then
-    iter_sorted g.duse.(id) g.duse_len.(id) (fun e -> f (e lsr 2) (e land 3))
+  if id >= 0 && id < g.next_id then begin
+    let a = g.duse.(id) and len = g.duse_len.(id) in
+    if len <= 16 then begin
+      let prev = ref min_int in
+      for _ = 1 to len do
+        let e = least_above a len !prev in
+        prev := e;
+        f (e lsr 2) (e land 3)
+      done
+    end
+    else Array.iter (fun e -> f (e lsr 2) (e land 3)) (sorted_copy a len)
+  end
 
 let iter_order_successors g id f =
-  if id >= 0 && id < g.next_id then iter_sorted g.ouse.(id) g.ouse_len.(id) f
+  if id >= 0 && id < g.next_id then begin
+    let a = g.ouse.(id) and len = g.ouse_len.(id) in
+    if len <= 16 then begin
+      let prev = ref min_int in
+      for _ = 1 to len do
+        let e = least_above a len !prev in
+        prev := e;
+        f e
+      done
+    end
+    else Array.iter f (sorted_copy a len)
+  end
 
 let iter_consumers_unordered g id f =
   if id >= 0 && id < g.next_id then begin
@@ -929,18 +1077,31 @@ let freeze g =
     g.indexed <- false;
     g.dpos <- [||];
     g.writers <- [||];
+    clear_journal g;
     g.frozen <- true
   end
 
-let depth g =
-  let order = topo_order g in
+(* Longest-path depth per id, over the topological order. *)
+let depths g =
   let d = Array.make (max 1 g.next_id) 0 in
   List.iter
     (fun id ->
       let m = ref 0 in
-      iter_preds g id (fun p -> if d.(p) + 1 > !m then m := d.(p) + 1);
+      let base = 3 * id in
+      for port = 0 to arity g.kinds.(id) - 1 do
+        let p = g.ins.(base + port) in
+        if d.(p) + 1 > !m then m := d.(p) + 1
+      done;
+      let oa = g.ord.(id) in
+      for j = 0 to g.ord_len.(id) - 1 do
+        if d.(oa.(j)) + 1 > !m then m := d.(oa.(j)) + 1
+      done;
       d.(id) <- !m)
-    order;
+    (topo_order g);
+  d
+
+let depth g =
+  let d = depths g in
   fun id ->
     if is_alive g id then d.(id) else invalidf "depth: unknown node %d" id
 
@@ -958,73 +1119,64 @@ let token_region g id =
   | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ -> None
 
 (* Recomputes the use/def index from the forward structure and compares it
-   with the maintained adjacency. O(V + E); used by [validate], the
-   verifier in lib/analysis and the index-invariant tests to catch any
-   mutation path that forgets an index update. Accumulates every
-   divergence so the diagnostic-producing callers report them all in one
-   run. *)
+   with the maintained adjacency. O(V + E) with no per-edge allocation on
+   a consistent graph; used by [validate], the verifier in lib/analysis
+   and the index-invariant tests to catch any mutation path that forgets
+   an index update. Accumulates every divergence so the
+   diagnostic-producing callers report them all in one run, in a fixed
+   order: data edges (unindexed producers in forward order, then misses
+   by consumer and port), the data-edge total, back-pointers and writer
+   counts, order edges likewise, then named outputs.
+
+   A data edge's expected producer is a function of its input cell
+   ([ins.(3*cid + port)]), so one pass over every [duse] list stamps the
+   cells whose entry sits in the right producer's list, and a second
+   pass over the cells reports the unstamped ones. An order edge has no
+   cell, so the expected edges are grouped by producer with a counting
+   sort (ascending consumer within a group) and compared with each
+   producer's [ouse] list through a per-consumer multiplicity stamp, a
+   multiset difference (a duplicated [ord] entry is one more expected
+   edge). *)
 let index_errors g =
   let errs = ref [] in
   let errf fmt = Format.kasprintf (fun msg -> errs := msg :: !errs) fmt in
   let n = g.next_id in
-  (* Group the expected reverse edges by producer in one forward scan, then
-     sort each group against the maintained index and merge-compare. A
-     per-edge [adj_mem] scan is O(E * degree), which a single high-fanout
-     constant turns quadratic; this stays O(E log E) regardless of shape. *)
-  let exp_data_by = Array.make (max 1 n) [] in
-  let exp_order_by = Array.make (max 1 n) [] in
-  let exp_data = ref 0 and exp_order = ref 0 in
+  let exp_data = ref 0 in
   for cid = 0 to n - 1 do
     if is_alive g cid then begin
-      let a = arity g.kinds.(cid) in
       let base = 3 * cid in
-      for port = 0 to a - 1 do
+      for port = 0 to arity g.kinds.(cid) - 1 do
         incr exp_data;
         let p = g.ins.(base + port) in
-        if p >= 0 && p < n then
-          exp_data_by.(p) <- ((cid lsl 2) lor port) :: exp_data_by.(p)
-        else errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
+        if p < 0 || p >= n then
+          errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
       done
     end
   done;
-  let indexed_sorted arrs lens p =
-    let a = Array.sub arrs.(p) 0 lens.(p) in
-    Array.sort Int.compare a;
-    a
-  in
-  (* Entries of [expected] (sorted) absent from [indexed] (sorted). *)
-  let missing expected indexed =
-    let m = Array.length indexed in
-    let rec walk exp j acc =
-      match exp with
-      | [] -> List.rev acc
-      | e :: rest ->
-        if j < m && indexed.(j) < e then walk exp (j + 1) acc
-        else if j < m && indexed.(j) = e then walk rest (j + 1) acc
-        else walk rest j (e :: acc)
-    in
-    walk expected 0 []
-  in
-  let data_misses = ref [] in
+  let found = Bytes.make (3 * n) '\000' in
+  let idx_data = ref 0 in
   for p = 0 to n - 1 do
-    match exp_data_by.(p) with
-    | [] -> ()
-    | expected ->
-      List.iter
-        (fun packed ->
-          data_misses := (packed lsr 2, packed land 3, p) :: !data_misses)
-        (missing
-           (List.sort Int.compare expected)
-           (indexed_sorted g.duse g.duse_len p))
+    let a = g.duse.(p) and len = g.duse_len.(p) in
+    idx_data := !idx_data + len;
+    for j = 0 to len - 1 do
+      let e = Array.unsafe_get a j in
+      let cid = e lsr 2 and port = e land 3 in
+      if cid < n && port < 3 then begin
+        let cell = (3 * cid) + port in
+        if g.ins.(cell) = p then Bytes.unsafe_set found cell '\001'
+      end
+    done
   done;
-  List.iter
-    (fun (cid, port, p) ->
-      errf "use/def index misses data edge %d -> (%d, port %d)" p cid port)
-    (List.sort compare !data_misses);
-  let idx_data = ref 0 and idx_order = ref 0 in
-  for i = 0 to n - 1 do
-    idx_data := !idx_data + g.duse_len.(i);
-    idx_order := !idx_order + g.ouse_len.(i)
+  for cid = 0 to n - 1 do
+    if is_alive g cid then begin
+      let base = 3 * cid in
+      for port = 0 to arity g.kinds.(cid) - 1 do
+        let p = g.ins.(base + port) in
+        if p >= 0 && p < n && Bytes.unsafe_get found (base + port) = '\000'
+        then
+          errf "use/def index misses data edge %d -> (%d, port %d)" p cid port
+      done
+    end
   done;
   if !idx_data <> !exp_data then
     errf "use/def index has stale data edges (%d indexed, %d real)" !idx_data
@@ -1051,27 +1203,58 @@ let index_errors g =
       if g.writers.(p) <> !w then
         errf "use/def index counts %d writers of %d, not %d" g.writers.(p) p !w
     done;
+  (* [start.(p)] .. [start.(p+1) - 1]: the expected order edges of [p]. *)
+  let start = Array.make (n + 1) 0 in
+  let exp_order = ref 0 in
   for cid = 0 to n - 1 do
     if is_alive g cid then begin
       let oa = g.ord.(cid) in
       for j = 0 to g.ord_len.(cid) - 1 do
         incr exp_order;
         let p = oa.(j) in
-        if p >= 0 && p < n then exp_order_by.(p) <- cid :: exp_order_by.(p)
+        if p >= 0 && p < n then start.(p + 1) <- start.(p + 1) + 1
         else errf "use/def index misses order edge %d -> %d" p cid
       done
     end
   done;
+  for p = 1 to n do
+    start.(p) <- start.(p) + start.(p - 1)
+  done;
+  let grouped = Array.make start.(n) 0 in
+  let cursor = Array.sub start 0 (max 1 n) in
+  for cid = 0 to n - 1 do
+    if is_alive g cid then begin
+      let oa = g.ord.(cid) in
+      for j = 0 to g.ord_len.(cid) - 1 do
+        let p = oa.(j) in
+        if p >= 0 && p < n then begin
+          grouped.(cursor.(p)) <- cid;
+          cursor.(p) <- cursor.(p) + 1
+        end
+      done
+    end
+  done;
+  let stamp = Array.make (max 1 n) (-1) and mult = Array.make (max 1 n) 0 in
   let order_misses = ref [] in
+  let idx_order = ref 0 in
   for p = 0 to n - 1 do
-    match exp_order_by.(p) with
-    | [] -> ()
-    | expected ->
-      List.iter
-        (fun cid -> order_misses := (cid, p) :: !order_misses)
-        (missing
-           (List.sort Int.compare expected)
-           (indexed_sorted g.ouse g.ouse_len p))
+    let a = g.ouse.(p) and len = g.ouse_len.(p) in
+    idx_order := !idx_order + len;
+    for j = 0 to len - 1 do
+      let c = Array.unsafe_get a j in
+      if c >= 0 && c < n then begin
+        if stamp.(c) <> p then begin
+          stamp.(c) <- p;
+          mult.(c) <- 0
+        end;
+        mult.(c) <- mult.(c) + 1
+      end
+    done;
+    for k = start.(p) to start.(p + 1) - 1 do
+      let cid = grouped.(k) in
+      if stamp.(cid) = p && mult.(cid) > 0 then mult.(cid) <- mult.(cid) - 1
+      else order_misses := (cid, p) :: !order_misses
+    done
   done;
   List.iter
     (fun (cid, p) -> errf "use/def index misses order edge %d -> %d" p cid)
@@ -1079,6 +1262,7 @@ let index_errors g =
   if !idx_order <> !exp_order then
     errf "use/def index has stale order edges (%d indexed, %d real)"
       !idx_order !exp_order;
+  (* Named outputs are few: a small table of expected counts. *)
   let expect_outputs = Hashtbl.create 8 in
   List.iter
     (fun (_, v) ->
@@ -1102,97 +1286,102 @@ let check_index g =
   match index_errors g with [] -> () | msg :: _ -> raise (Invalid msg)
 
 (* Port typing: for each node kind, which input ports expect a token of the
-   node's own region (port 0 of Fe/St/Del/Ss_out) and which expect values. *)
+   node's own region (port 0 of Fe/St/Del/Ss_out) and which expect values.
+   Reads the arena directly; the checks and their order per node are those
+   of a walk over {!node} records: dangling inputs in port order, dangling
+   order edges newest first, then port typing. *)
 let validate g =
-  iter g (fun n ->
-      if Array.length n.inputs <> arity n.kind then
-        invalidf "node %d: arity mismatch" n.id;
-      Array.iter
-        (fun input ->
-          if not (mem g input) then
-            invalidf "node %d: dangling input %d" n.id input)
-        n.inputs;
-      List.iter
-        (fun input ->
-          if not (mem g input) then
-            invalidf "node %d: dangling order edge %d" n.id input)
-        n.order_after;
-      let expect_value port =
-        let p = n.inputs.(port) in
-        if not (produces_value (kind g p)) then
-          invalidf "node %d: input port %d expects a value, got a token" n.id
-            port
-      in
-      let expect_token port region =
-        let p = n.inputs.(port) in
-        if not (produces_token (kind g p)) then
-          invalidf "node %d: input port %d expects a statespace token" n.id
-            port;
-        match token_region g p with
-        | Some r when String.equal r region -> ()
-        | Some r ->
-          invalidf "node %d: token of region %s flows into region %s" n.id r
-            region
-        | None -> assert false
-      in
-      let check_region region =
-        if region_info g region = None then
-          invalidf "node %d references undeclared region %s" n.id region
-      in
-      match n.kind with
+  let check_region id region =
+    if not (Hashtbl.mem g.region_tbl region) then
+      invalidf "node %d references undeclared region %s" id region
+  in
+  let expect_value id port =
+    if not (produces_value g.kinds.(g.ins.((3 * id) + port))) then
+      invalidf "node %d: input port %d expects a value, got a token" id port
+  in
+  let expect_token id port region =
+    match g.kinds.(g.ins.((3 * id) + port)) with
+    | Ss_in r | St r | Del r ->
+      if not (String.equal r region) then
+        invalidf "node %d: token of region %s flows into region %s" id r region
+    | Const _ | Binop _ | Unop _ | Mux | Ss_out _ | Fe _ ->
+      invalidf "node %d: input port %d expects a statespace token" id port
+  in
+  let ss_nodes = ref 0 in
+  for id = 0 to g.next_id - 1 do
+    if Bytes.unsafe_get g.alive id = '\001' then begin
+      let base = 3 * id in
+      for port = 0 to arity g.kinds.(id) - 1 do
+        let input = g.ins.(base + port) in
+        if not (mem g input) then
+          invalidf "node %d: dangling input %d" id input
+      done;
+      let oa = g.ord.(id) in
+      for j = g.ord_len.(id) - 1 downto 0 do
+        if not (mem g oa.(j)) then
+          invalidf "node %d: dangling order edge %d" id oa.(j)
+      done;
+      match g.kinds.(id) with
       | Const _ -> ()
       | Binop _ ->
-        expect_value 0;
-        expect_value 1
-      | Unop _ -> expect_value 0
+        expect_value id 0;
+        expect_value id 1
+      | Unop _ -> expect_value id 0
       | Mux ->
-        expect_value 0;
-        expect_value 1;
-        expect_value 2
-      | Ss_in region -> check_region region
+        expect_value id 0;
+        expect_value id 1;
+        expect_value id 2
+      | Ss_in region ->
+        incr ss_nodes;
+        check_region id region
       | Ss_out region ->
-        check_region region;
-        expect_token 0 region
+        incr ss_nodes;
+        check_region id region;
+        expect_token id 0 region
       | Fe region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1
+        check_region id region;
+        expect_token id 0 region;
+        expect_value id 1
       | St region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1;
-        expect_value 2
+        check_region id region;
+        expect_token id 0 region;
+        expect_value id 1;
+        expect_value id 2
       | Del region ->
-        check_region region;
-        expect_token 0 region;
-        expect_value 1);
+        check_region id region;
+        expect_token id 0 region;
+        expect_value id 1
+    end
+  done;
   (* At most one Ss_in / Ss_out per region. *)
-  let count_kind test =
-    let tbl = Hashtbl.create 8 in
-    iter g (fun n ->
-        match test n.kind with
-        | Some region ->
-          let old =
-            match Hashtbl.find_opt tbl region with Some c -> c | None -> 0
-          in
-          Hashtbl.replace tbl region (old + 1)
-        | None -> ());
-    tbl
-  in
-  let ins = count_kind (function Ss_in r -> Some r | _ -> None) in
-  let outs = count_kind (function Ss_out r -> Some r | _ -> None) in
-  Hashtbl.iter
-    (fun region c ->
-      if c > 1 then invalidf "region %s has %d Ss_in nodes" region c)
-    ins;
-  Hashtbl.iter
-    (fun region c ->
-      if c > 1 then invalidf "region %s has %d Ss_out nodes" region c)
-    outs;
+  if !ss_nodes > 0 then begin
+    let count_kind test =
+      let tbl = Hashtbl.create 8 in
+      iter_ids g (fun id ->
+          match test g.kinds.(id) with
+          | Some region ->
+            let old =
+              match Hashtbl.find_opt tbl region with Some c -> c | None -> 0
+            in
+            Hashtbl.replace tbl region (old + 1)
+          | None -> ());
+      tbl
+    in
+    let ins = count_kind (function Ss_in r -> Some r | _ -> None) in
+    let outs = count_kind (function Ss_out r -> Some r | _ -> None) in
+    Hashtbl.iter
+      (fun region c ->
+        if c > 1 then invalidf "region %s has %d Ss_in nodes" region c)
+      ins;
+    Hashtbl.iter
+      (fun region c ->
+        if c > 1 then invalidf "region %s has %d Ss_out nodes" region c)
+      outs
+  end;
   List.iter
     (fun (oname, id) ->
       if not (mem g id) then invalidf "named output %s is dangling" oname;
-      if not (produces_value (kind g id)) then
+      if not (produces_value g.kinds.(id)) then
         invalidf "named output %s is not a value" oname)
     g.named_outputs;
   check_index g;
@@ -1236,8 +1425,11 @@ let copy g =
       (match g.cone_cache with
       | Some (gen, h) when gen = g.generation -> Some (0, h)
       | Some _ | None -> None);
-    dirty_def = Id_set.empty;
-    dirty_use = Id_set.empty;
+    jflags = Bytes.empty;
+    jdef = no_ints;
+    jdef_len = 0;
+    juse = no_ints;
+    juse_len = 0;
   }
 
 type stats = {
@@ -1255,41 +1447,37 @@ type stats = {
 }
 
 let stats g =
-  let zero =
-    {
-      total = 0;
-      consts = 0;
-      fetches = 0;
-      stores = 0;
-      deletes = 0;
-      muxes = 0;
-      multiplies = 0;
-      adds = 0;
-      other_alu = 0;
-      ss_nodes = 0;
-      critical_path = 0;
-    }
-  in
-  let s =
-    fold g ~init:zero ~f:(fun s n ->
-        let s = { s with total = s.total + 1 } in
-        match n.kind with
-        | Const _ -> { s with consts = s.consts + 1 }
-        | Fe _ -> { s with fetches = s.fetches + 1 }
-        | St _ -> { s with stores = s.stores + 1 }
-        | Del _ -> { s with deletes = s.deletes + 1 }
-        | Mux -> { s with muxes = s.muxes + 1 }
-        | Ss_in _ | Ss_out _ -> { s with ss_nodes = s.ss_nodes + 1 }
-        | Binop op when Op.is_multiplier_class op ->
-          { s with multiplies = s.multiplies + 1 }
-        | Binop (Op.Add | Op.Sub) -> { s with adds = s.adds + 1 }
-        | Binop _ | Unop _ -> { s with other_alu = s.other_alu + 1 })
-  in
-  let depth_of = depth g in
-  let critical_path =
-    fold g ~init:0 ~f:(fun acc n -> max acc (depth_of n.id + 1))
-  in
-  { s with critical_path }
+  let consts = ref 0 and fetches = ref 0 and stores = ref 0 in
+  let deletes = ref 0 and muxes = ref 0 and multiplies = ref 0 in
+  let adds = ref 0 and other_alu = ref 0 and ss_nodes = ref 0 in
+  iter_ids g (fun id ->
+      match g.kinds.(id) with
+      | Const _ -> incr consts
+      | Fe _ -> incr fetches
+      | St _ -> incr stores
+      | Del _ -> incr deletes
+      | Mux -> incr muxes
+      | Ss_in _ | Ss_out _ -> incr ss_nodes
+      | Binop op when Op.is_multiplier_class op -> incr multiplies
+      | Binop (Op.Add | Op.Sub) -> incr adds
+      | Binop _ | Unop _ -> incr other_alu);
+  let d = depths g in
+  let critical_path = ref 0 in
+  iter_ids g (fun id ->
+      if d.(id) + 1 > !critical_path then critical_path := d.(id) + 1);
+  {
+    total = g.live;
+    consts = !consts;
+    fetches = !fetches;
+    stores = !stores;
+    deletes = !deletes;
+    muxes = !muxes;
+    multiplies = !multiplies;
+    adds = !adds;
+    other_alu = !other_alu;
+    ss_nodes = !ss_nodes;
+    critical_path = !critical_path;
+  }
 
 let pp_stats fmt s =
   Format.fprintf fmt
@@ -1297,3 +1485,38 @@ let pp_stats fmt s =
      ss=%d critical_path=%d"
     s.total s.consts s.fetches s.stores s.deletes s.muxes s.multiplies s.adds
     s.other_alu s.ss_nodes s.critical_path
+
+module For_testing = struct
+  type corruption =
+    | Drop_data_entry of id * int
+    | Misfiled_data_entry of id * int * id
+    | Duplicate_data_entry of id * int
+    | Stale_back_pointer of id * int
+    | Wrong_writer_count of id
+    | One_sided_order of id * id
+    | Stale_output_count of id
+
+  let corrupt g = function
+    | Drop_data_entry (cid, port) ->
+      adj_remove_swap g.duse g.duse_len g.ins.((3 * cid) + port)
+        ((cid lsl 2) lor port)
+    | Misfiled_data_entry (cid, port, p) ->
+      adj_remove_swap g.duse g.duse_len g.ins.((3 * cid) + port)
+        ((cid lsl 2) lor port);
+      adj_push g g.duse g.duse_len p ((cid lsl 2) lor port)
+    | Duplicate_data_entry (cid, port) ->
+      adj_push g g.duse g.duse_len g.ins.((3 * cid) + port)
+        ((cid lsl 2) lor port)
+    | Stale_back_pointer (cid, port) ->
+      ensure_indexed g;
+      g.dpos.((3 * cid) + port) <- g.dpos.((3 * cid) + port) + 1
+    | Wrong_writer_count p ->
+      ensure_indexed g;
+      g.writers.(p) <- g.writers.(p) + 1
+    | One_sided_order (id, after) -> adj_push g g.ord g.ord_len id after
+    | Stale_output_count id -> g.out_uses.(id) <- g.out_uses.(id) + 1
+
+  let journal_words g =
+    (Bytes.length g.jflags / (Sys.word_size / 8))
+    + Array.length g.jdef + Array.length g.juse
+end

@@ -233,10 +233,23 @@ val set_cone_cache : t -> int array -> unit
 val drain_dirty : t -> Id_set.t * Id_set.t
 (** Returns and clears the mutation journal as [(def_dirty, use_dirty)]:
     nodes whose own definition changed (inputs, order edges, existence)
-    and nodes that lost a use (a consumer was rewired or removed). The
-    worklist pass engine drains this after every rewrite to decide what to
-    re-examine; ids may reference since-removed nodes, so filter with
-    {!mem}. *)
+    and nodes that lost a use (a consumer was rewired or removed). Ids
+    may reference since-removed nodes, so filter with {!mem}. Marking is
+    O(1) and idempotent (a flag byte per id and a stack per flag); this
+    set-building drain is for cold callers — the worklist engine uses
+    {!drain_dirty_iter}. *)
+
+val drain_dirty_iter : t -> def:(id -> unit) -> use:(id -> unit) -> unit
+(** Drains the journal like {!drain_dirty}, without building sets: calls
+    [def] on every def-dirty id in ascending order, then [use] on every
+    use-dirty id in ascending order, each id once per drain. Allocates
+    nothing. The callbacks must not mutate the graph. *)
+
+val clear_journal : t -> unit
+(** Forgets every pending mark and releases the journal's storage (the
+    next mark allocates it again). Called on a raw graph once it is
+    built, so graphs kept for reuse carry no journal; {!freeze} does the
+    same. *)
 
 val index_errors : t -> string list
 (** Recomputes the use/def index from scratch and compares it with the
@@ -271,6 +284,38 @@ val frozen : t -> bool
 val copy : t -> t
 (** Independent mutable copy (never frozen, journal empty, generation 0;
     a valid topo cache is carried over). *)
+
+(** {2 Test support} *)
+
+module For_testing : sig
+  type corruption =
+    | Drop_data_entry of id * int
+        (** [(consumer, port)]: delete the edge's entry from its
+            producer's use list *)
+    | Misfiled_data_entry of id * int * id
+        (** [(consumer, port, producer)]: move the edge's entry to another
+            producer's use list *)
+    | Duplicate_data_entry of id * int
+        (** [(consumer, port)]: append a second copy of the edge's entry *)
+    | Stale_back_pointer of id * int
+        (** [(consumer, port)]: point the edge's back-pointer one slot
+            off (materialises the removal index first) *)
+    | Wrong_writer_count of id
+        (** [producer]: count one writer too many (materialises the
+            removal index first) *)
+    | One_sided_order of id * id
+        (** [(node, after)]: record the order edge in [node]'s order-after
+            list only, not in [after]'s successor index *)
+    | Stale_output_count of id
+        (** [node]: count one named-output reference too many *)
+
+  val corrupt : t -> corruption -> unit
+  (** Breaks the use/def index in one place, bypassing every mutation
+      path, so tests can check that {!index_errors} reports it. *)
+
+  val journal_words : t -> int
+  (** Words held by the mutation journal: its flag bytes and stacks. *)
+end
 
 (** {2 Statistics} *)
 

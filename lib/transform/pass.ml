@@ -105,13 +105,38 @@ type rewriter = {
   rewrite : Cdfg.Graph.id -> bool;
 }
 
+(* FIFO of ids in a power-of-two int ring; doubles when full, keeping
+   the pop order. *)
+type ring = { mutable buf : int array; mutable head : int; mutable len : int }
+
+let ring_create () = { buf = Array.make 64 0; head = 0; len = 0 }
+
+let ring_push q id =
+  let cap = Array.length q.buf in
+  if q.len = cap then begin
+    let buf = Array.make (2 * cap) 0 in
+    for j = 0 to q.len - 1 do
+      buf.(j) <- q.buf.((q.head + j) land (cap - 1))
+    done;
+    q.buf <- buf;
+    q.head <- 0
+  end;
+  q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- id;
+  q.len <- q.len + 1
+
+let ring_pop q =
+  let id = q.buf.(q.head) in
+  q.head <- (q.head + 1) land (Array.length q.buf - 1);
+  q.len <- q.len - 1;
+  id
+
 let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
   Obs.span ~cat:"transform" "worklist"
     ~args:[ ("nodes", Obs.Int (G.node_count g)) ]
   @@ fun () ->
   (* Forget mutations that predate the run (graph construction, or the
      patch application that produced [seed]). *)
-  ignore (G.drain_dirty g);
+  G.clear_journal g;
   let eager, deferred = List.partition (fun r -> not r.settled) rules in
   (* The clock is read around each rule application only when
      observability was on at the start of the run, so the disabled path
@@ -136,9 +161,9 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
       rewrite = prep r;
     }
   in
-  let eager_rw = List.map rewriter eager in
-  let settled_rw = List.map rewriter deferred in
-  let have_settled = settled_rw <> [] in
+  let eager_rw = Array.of_list (List.map rewriter eager) in
+  let settled_rw = Array.of_list (List.map rewriter deferred) in
+  let have_settled = Array.length settled_rw > 0 in
   (* Two priority tiers. Eager rules (folding, CSE, forwarding, DCE) run
      from the high queue. Settled rules run from the low queue, which is
      popped only when the high queue is empty — i.e. when the eager rules
@@ -161,22 +186,38 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     Char.code (Bytes.unsafe_get !pending id)
   in
   let set_flags id f = Bytes.unsafe_set !pending id (Char.unsafe_chr f) in
-  let queue_hi = Queue.create () and queue_lo = Queue.create () in
+  let queue_hi = ring_create () and queue_lo = ring_create () in
   let enqueue id =
     if G.mem g id then begin
       let f = flags id in
       if f land 1 = 0 then begin
-        Queue.add id queue_hi;
+        ring_push queue_hi id;
         Obs.incr c_enqueues
       end;
       if have_settled && f land 2 = 0 then begin
-        Queue.add id queue_lo;
+        ring_push queue_lo id;
         Obs.incr c_enqueues
       end;
       set_flags id (if have_settled then 3 else f lor 1)
     end
   in
   let enqueue_consumer c _port = enqueue c in
+  (* A changed definition can enable rewrites of the node itself, of
+     everything reading it (data or order), and of its direct producers
+     (dead-store bypassing examines a store but keys on its consumer's
+     offset, so the enabling event lands on the consumer). Producers are
+     bounded by arity, so this stays O(degree). A lost use can enable
+     use-count-driven rewrites (DCE, dead-store, chain rebalancing) of
+     the producer alone — crucially NOT of its consumers, or a popular
+     constant would re-enqueue its whole fan-out on every removal. *)
+  let on_def d =
+    enqueue d;
+    if G.mem g d then begin
+      G.iter_consumers g d enqueue_consumer;
+      G.iter_order_successors g d enqueue;
+      G.iter_inputs g d enqueue
+    end
+  in
   (* Seed in topological order: producers are simplified before their
      consumers key on them, mirroring the scan order of the whole-graph
      passes. A caller-supplied seed restricts the initial frontier to the
@@ -195,92 +236,77 @@ let run_worklist ?(debug = false) ?max_steps ?seed ?verify rules g =
     | None -> 100 + ((if have_settled then 200 else 100) * G.node_count g)
   in
   let steps = ref 0 and rewrites = ref 0 and peak = ref 0 in
-  while not (Queue.is_empty queue_hi && Queue.is_empty queue_lo) do
+  (* Under [~verify] the journal is drained after every firing so the
+     verifier sees exactly the nodes that firing touched; the drained
+     sets are accumulated here and replace the journal as the source of
+     the step's enqueues, which therefore behave identically with and
+     without verification. *)
+  let def_acc = ref G.Id_set.empty and use_acc = ref G.Id_set.empty in
+  (* One clock read per application: each ends where the previous one's
+     reading left off (reset after a verify hook, whose time is not the
+     rule's). *)
+  let t_last = ref 0.0 in
+  while queue_hi.len > 0 || queue_lo.len > 0 do
     if !steps > max_steps then
       failwith
         (Printf.sprintf
            "worklist engine exceeded %d steps (diverging rewrite rules?)"
            max_steps);
-    peak := max !peak (Queue.length queue_hi + Queue.length queue_lo);
-    Obs.record_max c_peak_eager (Queue.length queue_hi);
-    Obs.record_max c_peak_settled (Queue.length queue_lo);
-    let id, rewriters =
-      if not (Queue.is_empty queue_hi) then begin
-        let id = Queue.pop queue_hi in
+    peak := max !peak (queue_hi.len + queue_lo.len);
+    Obs.record_max c_peak_eager queue_hi.len;
+    Obs.record_max c_peak_settled queue_lo.len;
+    let from_hi = queue_hi.len > 0 in
+    let id =
+      if from_hi then begin
+        let id = ring_pop queue_hi in
         set_flags id (flags id land 2);
-        (id, eager_rw)
+        id
       end
       else begin
-        let id = Queue.pop queue_lo in
+        let id = ring_pop queue_lo in
         set_flags id (flags id land 1);
-        (id, settled_rw)
+        id
       end
     in
+    let rewriters = if from_hi then eager_rw else settled_rw in
     if G.mem g id then begin
       incr steps;
-      (* Under [~verify] the journal is drained after every firing so the
-         verifier sees exactly the nodes that firing touched; the drained
-         sets are accumulated for the enqueue phase below, which therefore
-         behaves identically with and without verification. *)
-      let def_acc = ref G.Id_set.empty and use_acc = ref G.Id_set.empty in
-      let drain_acc () =
-        let d, u = G.drain_dirty g in
-        def_acc := G.Id_set.union !def_acc d;
-        use_acc := G.Id_set.union !use_acc u;
-        G.Id_set.union d u
-      in
-      (* One clock read per application: each ends where the previous
-         one's reading left off (reset after a verify hook, whose time
-         is not the rule's). *)
-      let t_last = ref (if timed then Obs.now () else 0.0) in
-      let apply r =
-        if not timed then r.rewrite id
-        else begin
+      if timed then t_last := Obs.now ();
+      for i = 0 to Array.length rewriters - 1 do
+        let r = rewriters.(i) in
+        if G.mem g id then begin
           let changed = r.rewrite id in
-          let t = Obs.now () in
-          Obs.add r.self_ns (int_of_float ((t -. !t_last) *. 1e9));
-          Obs.incr r.calls;
-          t_last := t;
-          changed
-        end
-      in
-      List.iter
-        (fun r ->
-          if G.mem g id && apply r then begin
+          if timed then begin
+            let t = Obs.now () in
+            Obs.add r.self_ns (int_of_float ((t -. !t_last) *. 1e9));
+            Obs.incr r.calls;
+            t_last := t
+          end;
+          if changed then begin
             incr rewrites;
             Obs.incr r.fired;
             match verify with
             | Some f ->
-              let touched = drain_acc () in
-              run_verify f r.rw_name g touched;
+              let d, u = G.drain_dirty g in
+              def_acc := G.Id_set.union !def_acc d;
+              use_acc := G.Id_set.union !use_acc u;
+              run_verify f r.rw_name g (G.Id_set.union d u);
               if timed then t_last := Obs.now ()
             | None -> ()
-          end)
-        rewriters;
+          end
+        end
+      done;
       if debug then G.validate g;
-      let def_dirty, use_dirty =
-        ignore (drain_acc ());
-        (!def_acc, !use_acc)
-      in
-      (* A changed definition can enable rewrites of the node itself, of
-         everything reading it (data or order), and of its direct
-         producers (dead-store bypassing examines a store but keys on its
-         consumer's offset, so the enabling event lands on the consumer).
-         Producers are bounded by arity, so this stays O(degree). A lost
-         use can enable use-count-driven rewrites (DCE, dead-store, chain
-         rebalancing) of the producer alone — crucially NOT of its
-         consumers, or a popular constant would re-enqueue its whole
-         fan-out on every removal. *)
-      G.Id_set.iter
-        (fun d ->
-          enqueue d;
-          if G.mem g d then begin
-            G.iter_consumers g d enqueue_consumer;
-            G.iter_order_successors g d enqueue;
-            G.iter_inputs g d enqueue
-          end)
-        def_dirty;
-      G.Id_set.iter enqueue use_dirty
+      match verify with
+      | None -> G.drain_dirty_iter g ~def:on_def ~use:enqueue
+      | Some _ ->
+        let d, u = G.drain_dirty g in
+        let defs = G.Id_set.union !def_acc d in
+        let uses = G.Id_set.union !use_acc u in
+        def_acc := G.Id_set.empty;
+        use_acc := G.Id_set.empty;
+        G.Id_set.iter on_def defs;
+        G.Id_set.iter enqueue uses
     end
   done;
   Obs.add c_steps !steps;

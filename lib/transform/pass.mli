@@ -9,8 +9,9 @@
     - the {e worklist engine} ({!run_worklist}) seeds a queue with all
       nodes in topological order and thereafter re-examines only the
       neighbourhood of each rewrite, which the graph reports through its
-      mutation journal ({!Cdfg.Graph.drain_dirty}). Validation runs once
-      at the end of the caller (or after every step under [~debug]). *)
+      mutation journal ({!Cdfg.Graph.drain_dirty_iter}). A step that
+      rewrites nothing allocates nothing. Validation runs once at the end
+      of the caller (or after every step under [~debug]). *)
 
 type t = {
   name : string;

@@ -14,138 +14,139 @@ let redirect g id ~by =
   G.replace_uses g id ~by;
   true
 
+(* Rules read the arena through [G.kind]/[G.input] rather than a [G.node]
+   record: a visit that changes nothing allocates nothing. *)
+
 (* One node's worth of constant folding; shared by the whole-graph pass and
    the worklist rule. *)
-let fold_node g (n : G.node) =
-  match n.G.kind with
+let fold_node g id =
+  match G.kind g id with
   | G.Binop op -> (
-    match (const_of g n.G.inputs.(0), const_of g n.G.inputs.(1)) with
-    | Some a, Some b -> fold_to_const g n.G.id (Op.eval_binop op a b)
+    match (G.kind g (G.input g id 0), G.kind g (G.input g id 1)) with
+    | G.Const a, G.Const b -> fold_to_const g id (Op.eval_binop op a b)
     | _, _ -> false)
   | G.Unop op -> (
-    match const_of g n.G.inputs.(0) with
-    | Some a -> fold_to_const g n.G.id (Op.eval_unop op a)
-    | None -> false)
+    match G.kind g (G.input g id 0) with
+    | G.Const a -> fold_to_const g id (Op.eval_unop op a)
+    | _ -> false)
   | G.Mux -> (
-    match const_of g n.G.inputs.(0) with
-    | Some c ->
-      let chosen = if c <> 0 then n.G.inputs.(1) else n.G.inputs.(2) in
-      redirect g n.G.id ~by:chosen
-    | None -> false)
+    match G.kind g (G.input g id 0) with
+    | G.Const c ->
+      let chosen = if c <> 0 then G.input g id 1 else G.input g id 2 in
+      redirect g id ~by:chosen
+    | _ -> false)
   | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ -> false
 
 let run_const_fold g =
   let changed = ref false in
   List.iter
-    (fun id -> if G.mem g id && fold_node g (G.node g id) then changed := true)
+    (fun id -> if G.mem g id && fold_node g id then changed := true)
     (G.node_ids g);
   !changed
 
 let const_fold = { Pass.name = "const-fold"; run = run_const_fold }
 
-let const_fold_rule =
-  Pass.local "const-fold" (fun g id -> fold_node g (G.node g id))
+let const_fold_rule = Pass.local "const-fold" fold_node
 
-let is_const g id v = const_of g id = Some v
+let is_const g id v = match G.kind g id with G.Const c -> c = v | _ -> false
 
-let algebraic_node g (n : G.node) =
-  let changed = ref false in
-  let rewrite id ~by = if redirect g id ~by then changed := true in
-  let to_const id v = if fold_to_const g id v then changed := true in
-  (match n.G.kind with
+let algebraic_node g id =
+  match G.kind g id with
   | G.Binop op -> (
-    let a = n.G.inputs.(0) and b = n.G.inputs.(1) in
+    let a = G.input g id 0 and b = G.input g id 1 in
     match op with
     | Op.Add ->
-      if is_const g a 0 then rewrite n.G.id ~by:b
-      else if is_const g b 0 then rewrite n.G.id ~by:a
+      if is_const g a 0 then redirect g id ~by:b
+      else if is_const g b 0 then redirect g id ~by:a
+      else false
     | Op.Sub ->
-      if is_const g b 0 then rewrite n.G.id ~by:a
-      else if a = b then to_const n.G.id 0
+      if is_const g b 0 then redirect g id ~by:a
+      else if a = b then fold_to_const g id 0
+      else false
     | Op.Mul ->
-      if is_const g a 1 then rewrite n.G.id ~by:b
-      else if is_const g b 1 then rewrite n.G.id ~by:a
-      else if is_const g a 0 || is_const g b 0 then to_const n.G.id 0
-    | Op.Div -> if is_const g b 1 then rewrite n.G.id ~by:a
-    | Op.Mod -> if is_const g b 1 then to_const n.G.id 0
+      if is_const g a 1 then redirect g id ~by:b
+      else if is_const g b 1 then redirect g id ~by:a
+      else if is_const g a 0 || is_const g b 0 then fold_to_const g id 0
+      else false
+    | Op.Div -> is_const g b 1 && redirect g id ~by:a
+    | Op.Mod -> is_const g b 1 && fold_to_const g id 0
     | Op.Shl | Op.Shr ->
-      if is_const g b 0 then rewrite n.G.id ~by:a
-      else if is_const g a 0 then to_const n.G.id 0
+      if is_const g b 0 then redirect g id ~by:a
+      else if is_const g a 0 then fold_to_const g id 0
+      else false
     | Op.Band ->
-      if is_const g a 0 || is_const g b 0 then to_const n.G.id 0
-      else if a = b then rewrite n.G.id ~by:a
+      if is_const g a 0 || is_const g b 0 then fold_to_const g id 0
+      else if a = b then redirect g id ~by:a
+      else false
     | Op.Bor ->
-      if is_const g a 0 then rewrite n.G.id ~by:b
-      else if is_const g b 0 then rewrite n.G.id ~by:a
-      else if a = b then rewrite n.G.id ~by:a
+      if is_const g a 0 then redirect g id ~by:b
+      else if is_const g b 0 then redirect g id ~by:a
+      else if a = b then redirect g id ~by:a
+      else false
     | Op.Bxor ->
-      if is_const g a 0 then rewrite n.G.id ~by:b
-      else if is_const g b 0 then rewrite n.G.id ~by:a
-      else if a = b then to_const n.G.id 0
-    | Op.Eq | Op.Le | Op.Ge -> if a = b then to_const n.G.id 1
-    | Op.Ne | Op.Lt | Op.Gt -> if a = b then to_const n.G.id 0
-    | Op.Land ->
-      if is_const g a 0 || is_const g b 0 then to_const n.G.id 0
+      if is_const g a 0 then redirect g id ~by:b
+      else if is_const g b 0 then redirect g id ~by:a
+      else if a = b then fold_to_const g id 0
+      else false
+    | Op.Eq | Op.Le | Op.Ge -> a = b && fold_to_const g id 1
+    | Op.Ne | Op.Lt | Op.Gt -> a = b && fold_to_const g id 0
+    | Op.Land -> (is_const g a 0 || is_const g b 0) && fold_to_const g id 0
     | Op.Lor -> (
-      match (const_of g a, const_of g b) with
-      | Some v, _ when v <> 0 -> to_const n.G.id 1
-      | _, Some v when v <> 0 -> to_const n.G.id 1
-      | _, _ -> ()))
-  | G.Mux ->
-    let c = n.G.inputs.(0)
-    and if_true = n.G.inputs.(1)
-    and if_false = n.G.inputs.(2) in
-    if if_true = if_false then rewrite n.G.id ~by:if_true
-    else begin
+      match (G.kind g a, G.kind g b) with
+      | G.Const v, _ when v <> 0 -> fold_to_const g id 1
+      | _, G.Const v when v <> 0 -> fold_to_const g id 1
+      | _, _ -> false))
+  | G.Mux -> (
+    let c = G.input g id 0
+    and if_true = G.input g id 1
+    and if_false = G.input g id 2 in
+    if if_true = if_false then redirect g id ~by:if_true
+    else
       (* Mux (!c, a, b) -> Mux (c, b, a) *)
       match G.kind g c with
       | G.Unop Op.Lnot ->
-        let inner = List.nth (G.inputs g c) 0 in
+        let inner = G.input g c 0 in
         (* Only when the inner value is boolean-like do !x and the mux
            commute; Lnot always yields 0/1 so flipping is safe. *)
-        G.set_inputs g n.G.id [ inner; if_false; if_true ];
-        changed := true
-      | _ -> ()
-    end
+        G.set_inputs g id [ inner; if_false; if_true ];
+        true
+      | _ -> false)
   | G.Unop Op.Lnot -> (
     (* !!x with boolean-producing x collapses to x. *)
-    let a = n.G.inputs.(0) in
+    let a = G.input g id 0 in
     match G.kind g a with
     | G.Unop Op.Lnot -> (
-      let inner = List.nth (G.inputs g a) 0 in
+      let inner = G.input g a 0 in
       match G.kind g inner with
       | G.Binop
           (Op.Lt | Op.Le | Op.Gt | Op.Ge | Op.Eq | Op.Ne | Op.Land | Op.Lor)
       | G.Unop Op.Lnot ->
-        rewrite n.G.id ~by:inner
-      | _ -> ())
-    | _ -> ())
+        redirect g id ~by:inner
+      | _ -> false)
+    | _ -> false)
   | G.Unop (Op.Neg | Op.Bnot)
   | G.Const _ | G.Ss_in _ | G.Ss_out _ | G.Fe _ | G.St _ | G.Del _ ->
-    ());
-  !changed
+    false
 
 let run_algebraic g =
   let changed = ref false in
   List.iter
-    (fun id ->
-      if G.mem g id && algebraic_node g (G.node g id) then changed := true)
+    (fun id -> if G.mem g id && algebraic_node g id then changed := true)
     (G.node_ids g);
   !changed
 
 let algebraic = { Pass.name = "algebraic"; run = run_algebraic }
 
-let algebraic_rule =
-  Pass.local "algebraic" (fun g id -> algebraic_node g (G.node g id))
+let algebraic_rule = Pass.local "algebraic" algebraic_node
 
 let log2_exact n =
   let rec loop v k = if v = n then Some k else if v > n || k > 61 then None else loop (v * 2) (k + 1) in
   if n <= 0 then None else loop 1 0
 
-let strength_reduce_node g (n : G.node) =
-  match n.G.kind with
+let strength_reduce_node g id =
+  match G.kind g id with
   | G.Binop Op.Mul -> (
-    let a = n.G.inputs.(0) and b = n.G.inputs.(1) in
+    let a = G.input g id 0 and b = G.input g id 1 in
     let try_shift value_input const_input =
       match const_of g const_input with
       | Some c -> (
@@ -153,7 +154,7 @@ let strength_reduce_node g (n : G.node) =
         | Some k when k > 0 ->
           let amount = G.add g (G.Const k) [] in
           let shift = G.add g (G.Binop Op.Shl) [ value_input; amount ] in
-          G.replace_uses g n.G.id ~by:shift;
+          G.replace_uses g id ~by:shift;
           true
         | Some _ | None -> false)
       | None -> false
@@ -167,11 +168,10 @@ let run_strength_reduce g =
   let changed = ref false in
   List.iter
     (fun id ->
-      if G.mem g id && strength_reduce_node g (G.node g id) then changed := true)
+      if G.mem g id && strength_reduce_node g id then changed := true)
     (G.node_ids g);
   !changed
 
 let strength_reduce = { Pass.name = "strength-reduce"; run = run_strength_reduce }
 
-let strength_reduce_rule =
-  Pass.local "strength-reduce" (fun g id -> strength_reduce_node g (G.node g id))
+let strength_reduce_rule = Pass.local "strength-reduce" strength_reduce_node

@@ -475,6 +475,230 @@ let test_high_fanout_removal () =
   Alcotest.(check int) "no consumers left" 0 (G.use_count g c);
   G.check_index g
 
+(* {2 Journal semantics} *)
+
+let drained_lists g =
+  let defs = ref [] and uses = ref [] in
+  G.drain_dirty_iter g
+    ~def:(fun id -> defs := id :: !defs)
+    ~use:(fun id -> uses := id :: !uses);
+  (List.rev !defs, List.rev !uses)
+
+(* Two copies of one graph take the same random mutations; one is drained
+   into sets, the other through the iterator, which must list the same
+   ids ascending and once each. *)
+let test_journal_drain_ascending () =
+  let rng = Random.State.make [| 17 |] in
+  let build () =
+    let g = G.create "t" in
+    for i = 0 to 19 do
+      ignore (G.add g (G.Const i) [])
+    done;
+    for i = 0 to 29 do
+      ignore (G.add g (G.Binop Op.Add) [ i mod 20; (i * 7) mod 20 ])
+    done;
+    g
+  in
+  let a = build () and b = build () in
+  ignore (G.drain_dirty a);
+  ignore (G.drain_dirty b);
+  let pick_live g =
+    let ids = Array.of_list (G.node_ids g) in
+    ids.(Random.State.int rng (Array.length ids))
+  in
+  for step = 1 to 300 do
+    let x = pick_live a and p1 = pick_live a and p2 = pick_live a in
+    let mutate g =
+      match step mod 4 with
+      | 0 | 1 -> (
+        match G.kind g x with
+        | G.Binop _ -> G.set_inputs g x [ p1; p2 ]
+        | _ -> ())
+      | 2 ->
+        let c = G.add g (G.Const step) [] in
+        G.replace_uses g x ~by:c
+      | _ -> if G.use_count g x = 0 then G.remove g x
+    in
+    mutate a;
+    mutate b;
+    if step mod 3 = 0 then begin
+      let d, u = G.drain_dirty a in
+      let dl, ul = drained_lists b in
+      Alcotest.(check (list int)) "def: ascending, deduplicated"
+        (G.Id_set.elements d) dl;
+      Alcotest.(check (list int)) "use: ascending, deduplicated"
+        (G.Id_set.elements u) ul
+    end
+  done
+
+let test_journal_remark_after_drain () =
+  let g = G.create "t" in
+  let c1 = G.add g (G.Const 1) [] in
+  let c2 = G.add g (G.Const 2) [] in
+  let a = G.add g (G.Binop Op.Add) [ c1; c2 ] in
+  ignore (drained_lists g);
+  G.set_inputs g a [ c2; c1 ];
+  G.set_inputs g a [ c1; c2 ];
+  Alcotest.(check (pair (list int) (list int)))
+    "marked twice, drained once" ([ a ], [ c1; c2 ]) (drained_lists g);
+  Alcotest.(check (pair (list int) (list int)))
+    "drained journal is empty" ([], []) (drained_lists g);
+  G.set_inputs g a [ c2; c2 ];
+  Alcotest.(check (pair (list int) (list int)))
+    "re-marked id comes back" ([ a ], [ c1; c2 ]) (drained_lists g)
+
+(* Marks taken before and after several capacity doublings all survive
+   to the drain. *)
+let test_journal_across_grow () =
+  let g = G.create "t" in
+  let first = G.add g (G.Const 0) [] in
+  let ids = ref [ first ] in
+  for i = 1 to 99 do
+    ids := G.add g (G.Const i) [] :: !ids
+  done;
+  let defs, uses = drained_lists g in
+  Alcotest.(check (list int)) "every added id def-dirty" (List.rev !ids) defs;
+  Alcotest.(check (list int)) "nothing use-dirty" [] uses;
+  let a = G.add g (G.Binop Op.Add) [ first; first ] in
+  let late = ref [] in
+  for _ = 0 to 199 do
+    late := G.add g (G.Unop Op.Neg) [ a ] :: !late
+  done;
+  G.replace_uses g first ~by:(List.hd !late);
+  let defs, uses = drained_lists g in
+  Alcotest.(check (list int)) "marks kept across grow"
+    (List.sort_uniq compare (a :: !late)) defs;
+  Alcotest.(check (list int)) "use mark kept" [ first ] uses;
+  (* 200 marks taken in descending id order: the drain sorts them *)
+  List.iter (fun id -> G.set_inputs g id [ first ]) !late;
+  let defs, uses = drained_lists g in
+  Alcotest.(check (list int)) "descending marks drained ascending"
+    (List.rev !late) defs;
+  Alcotest.(check (list int)) "old input use-dirty once" [ a ] uses
+
+let test_journal_copy_and_freeze () =
+  let g = G.create "t" in
+  let c1 = G.add g (G.Const 1) [] in
+  let c2 = G.add g (G.Const 2) [] in
+  let a = G.add g (G.Binop Op.Add) [ c1; c2 ] in
+  let g' = G.copy g in
+  Alcotest.(check int) "copy holds no journal" 0 (G.For_testing.journal_words g');
+  Alcotest.(check (pair (list int) (list int)))
+    "copy starts empty" ([], []) (drained_lists g');
+  Alcotest.(check (pair (list int) (list int)))
+    "original keeps its marks" ([ c1; c2; a ], []) (drained_lists g);
+  G.set_inputs g a [ c2; c1 ];
+  Alcotest.(check bool) "journal allocated" true
+    (G.For_testing.journal_words g > 0);
+  G.freeze g;
+  Alcotest.(check int) "freeze releases the journal" 0
+    (G.For_testing.journal_words g);
+  Alcotest.(check (pair (list int) (list int)))
+    "frozen journal is empty" ([], []) (drained_lists g)
+
+let test_builder_clears_journal () =
+  let g =
+    Cdfg.Builder.build_program
+      "void main() { a[0] = 1; i = 0; while (i < 4) { s = s + a[i]; i = i + 1; } }"
+  in
+  Alcotest.(check int) "raw graph carries no journal" 0
+    (G.For_testing.journal_words g)
+
+(* {2 The index check keeps its power}
+
+   Each test breaks one edge family of the use/def index and expects the
+   diagnostics the earlier per-producer-list implementation of
+   [index_errors] printed for the same corruption of the same graph. *)
+
+let corruption_scenario () =
+  let g = G.create "t" in
+  make_region g "r" 4;
+  let ss = G.add g (G.Ss_in "r") [] in
+  let zero = G.add g (G.Const 0) [] in
+  let one = G.add g (G.Const 1) [] in
+  let fe0 = G.add g (G.Fe "r") [ ss; zero ] in
+  let fe1 = G.add g (G.Fe "r") [ ss; one ] in
+  let v = G.add g (G.Binop Op.Add) [ fe0; fe1 ] in
+  let st = G.add g (G.St "r") [ ss; zero; v ] in
+  G.add_order g st ~after:fe0;
+  G.add_order g st ~after:fe1;
+  let out = G.add g (G.Ss_out "r") [ st ] in
+  G.set_output g "result" v;
+  (g, ss, fe0, fe1, v, st, out)
+
+let check_corruption ?(indexed = false) corruption expected () =
+  let ((g, ss, _, _, _, _, _) as sc) = corruption_scenario () in
+  if indexed then ignore (G.writer_count g ss);
+  Alcotest.(check (list string)) "consistent before" [] (G.index_errors g);
+  G.For_testing.corrupt g (corruption sc);
+  Alcotest.(check (list string)) "diagnostics" expected (G.index_errors g);
+  match G.validate g with
+  | exception G.Invalid msg ->
+    Alcotest.(check string) "validate raises the first" (List.hd expected) msg
+  | () -> Alcotest.fail "corrupted index validated"
+
+let corruption_cases =
+  let open G.For_testing in
+  [
+    ( "data entry missing",
+      check_corruption
+        (fun (_, _, _, _, v, _, _) -> Drop_data_entry (v, 1))
+        [
+          "use/def index misses data edge 4 -> (5, port 1)";
+          "use/def index has stale data edges (9 indexed, 10 real)";
+        ] );
+    ( "data entry missing (indexed)",
+      check_corruption ~indexed:true
+        (fun (_, _, fe0, _, _, _, _) -> Drop_data_entry (fe0, 0))
+        [
+          "use/def index misses data edge 0 -> (3, port 0)";
+          "use/def index has stale data edges (9 indexed, 10 real)";
+          "use/def index back-pointer of (6, port 0) is 2, not slot 0 of 0";
+        ] );
+    ( "data entry under the wrong producer",
+      check_corruption
+        (fun (_, _, fe0, _, v, _, _) -> Misfiled_data_entry (v, 1, fe0))
+        [ "use/def index misses data edge 4 -> (5, port 1)" ] );
+    ( "data entry duplicated",
+      check_corruption
+        (fun (_, _, _, _, _, st, _) -> Duplicate_data_entry (st, 2))
+        [ "use/def index has stale data edges (11 indexed, 10 real)" ] );
+    ( "data entry duplicated (indexed)",
+      check_corruption ~indexed:true
+        (fun (_, _, _, _, _, st, _) -> Duplicate_data_entry (st, 2))
+        [
+          "use/def index has stale data edges (11 indexed, 10 real)";
+          "use/def index back-pointer of (6, port 2) is 0, not slot 1 of 5";
+        ] );
+    ( "stale back-pointer",
+      check_corruption
+        (fun (_, _, _, fe1, _, _, _) -> Stale_back_pointer (fe1, 0))
+        [ "use/def index back-pointer of (4, port 0) is 2, not slot 1 of 0" ]
+    );
+    ( "wrong writer count",
+      check_corruption
+        (fun (_, ss, _, _, _, _, _) -> Wrong_writer_count ss)
+        [ "use/def index counts 2 writers of 0, not 1" ] );
+    ( "order edge on one side",
+      check_corruption
+        (fun (_, _, fe0, _, _, _, out) -> One_sided_order (out, fe0))
+        [
+          "use/def index misses order edge 3 -> 7";
+          "use/def index has stale order edges (2 indexed, 3 real)";
+        ] );
+    ( "stale named-output count",
+      check_corruption
+        (fun (_, _, fe0, _, _, _, _) -> Stale_output_count fe0)
+        [ "use/def index has stale named-output count for node 3" ] );
+    ( "miscounted named output",
+      check_corruption
+        (fun (_, _, _, _, v, _, _) -> Stale_output_count v)
+        [
+          "use/def index miscounts named-output references of node 5";
+          "use/def index has stale named-output count for node 5";
+        ] );
+  ]
+
 let suite =
   [
     Alcotest.test_case "add/access" `Quick test_add_and_access;
@@ -503,4 +727,17 @@ let suite =
     Alcotest.test_case "10k-consumer removal vs naive" `Quick
       test_high_fanout_removal;
     Alcotest.test_case "writer_count vs naive" `Quick test_writer_count;
+    Alcotest.test_case "journal drain ascending + deduplicated" `Quick
+      test_journal_drain_ascending;
+    Alcotest.test_case "journal re-mark after drain" `Quick
+      test_journal_remark_after_drain;
+    Alcotest.test_case "journal marks across grow" `Quick
+      test_journal_across_grow;
+    Alcotest.test_case "journal copy + freeze" `Quick
+      test_journal_copy_and_freeze;
+    Alcotest.test_case "builder clears the journal" `Quick
+      test_builder_clears_journal;
   ]
+  @ List.map
+      (fun (name, f) -> Alcotest.test_case ("index corrupt: " ^ name) `Quick f)
+      corruption_cases

@@ -45,6 +45,42 @@ let test_fir_family () =
             (fun (x, y) -> Printf.sprintf "%.0f nodes: %.0f words" x y)
             points))
 
+(* Allocation ceilings per raw node on fir-256 (2.8k raw nodes). The
+   frontend's cost was dominated by a balanced-set mutation journal
+   (O(log n) and an allocation per mark) and by per-producer edge lists
+   in the index check run by [Graph.validate]; minimisation's by a
+   [Graph.node] record built per rule visit, polymorphic CSE keys and a
+   per-step set union in the engine. Before they were removed the two
+   measured 436 and 512 words per raw node; now 157 and 92. Putting the
+   set journal back alone gives about 225 and 144, building a node record
+   per rule visit alone about 252 for minimisation, so either crosses a
+   ceiling. *)
+let frontend_ceiling = 200.0
+let minimise_ceiling = 125.0
+
+let test_words_per_raw_node () =
+  let k = Kernels.fir ~taps:256 in
+  let w0 = Gc.minor_words () in
+  let s =
+    Flow.Staged.of_source ~config:Flow.default_config ~func:"main"
+      k.Kernels.source
+  in
+  let frontend = Gc.minor_words () -. w0 in
+  let raw = Flow.Staged.raw_graph s in
+  let nodes = float_of_int (Cdfg.Graph.node_count raw) in
+  let g = Cdfg.Graph.copy raw in
+  let w0 = Gc.minor_words () in
+  ignore (Transform.Simplify.minimize g);
+  let minimise = Gc.minor_words () -. w0 in
+  let check what words ceiling =
+    let per = words /. nodes in
+    if per > ceiling then
+      Alcotest.failf "%s allocates %.0f words per raw node on fir-256 (> %.0f)"
+        what per ceiling
+  in
+  check "Staged.of_source" frontend frontend_ceiling;
+  check "Simplify.minimize" minimise minimise_ceiling
+
 let test_slope_fit () =
   Alcotest.(check (float 1e-9)) "exact power law" 1.5
     (loglog_slope [ (1.0, 1.0); (4.0, 8.0); (16.0, 64.0) ])
@@ -54,4 +90,6 @@ let suite =
     Alcotest.test_case "log-log fit" `Quick test_slope_fit;
     Alcotest.test_case "minimise words exponent <= 1.2 on fir family" `Quick
       test_fir_family;
+    Alcotest.test_case "words per raw node under ceilings on fir-256" `Quick
+      test_words_per_raw_node;
   ]

@@ -409,6 +409,108 @@ let each_pass_preserves =
           Cdfg.Eval.equal_result before after)
         passes)
 
+(* Property: the CSE value-number key means what the structural key
+   [(kind, inputs with commutative operands sorted)] meant — same
+   equality, and equal keys land in one hash bucket — over random node
+   pairs of every kind, with and without commutative operators. Few
+   constants, values and regions make equal pairs common. *)
+let all_binops =
+  Op.
+    [ Add; Sub; Mul; Div; Mod; Shl; Shr; Band; Bor; Bxor; Lt; Le; Gt; Ge; Eq;
+      Ne; Land; Lor ]
+
+let structural_key g id =
+  let inputs = G.inputs g id in
+  match G.kind g id with
+  | G.Const _ as k -> Some (k, [])
+  | (G.Unop _ | G.Mux | G.Fe _) as k -> Some (k, inputs)
+  | G.Binop op as k ->
+    Some (k, if Op.commutative op then List.sort compare inputs else inputs)
+  | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ -> None
+
+(* Every kind, few constants and regions, and a twin for about half the
+   mergeable nodes — same inputs, or swapped ones for a binop, which
+   equal the original only when the operator commutes. *)
+let random_keyed_graph rng =
+  let g = G.create "keys" in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let values = ref [] and tokens = ref [] in
+  let value kind inputs =
+    values := G.add g kind inputs :: !values;
+    if Random.State.bool rng then
+      let twin =
+        match (kind, inputs) with
+        | G.Binop _, [ a; b ] when Random.State.bool rng -> [ b; a ]
+        | _ -> inputs
+      in
+      values := G.add g kind twin :: !values
+  in
+  List.iter
+    (fun r ->
+      G.declare_region g r { G.size = Some 4; implicit = false };
+      tokens := (r, G.add g (G.Ss_in r) []) :: !tokens)
+    [ "a"; "b" ];
+  for i = 0 to 3 do
+    values := G.add g (G.Const (i mod 3)) [] :: !values
+  done;
+  for _ = 1 to 60 do
+    let v () = pick !values in
+    let r, tok = pick !tokens in
+    match Random.State.int rng 7 with
+    | 0 -> value (G.Const (Random.State.int rng 3)) []
+    | 1 | 2 -> value (G.Binop (pick all_binops)) [ v (); v () ]
+    | 3 -> value (G.Unop (pick Op.[ Neg; Bnot; Lnot ])) [ v () ]
+    | 4 -> value G.Mux [ v (); v (); v () ]
+    | 5 -> value (G.Fe r) [ tok; v () ]
+    | _ ->
+      let t =
+        if Random.State.bool rng then G.add g (G.St r) [ tok; v (); v () ]
+        else G.add g (G.Del r) [ tok; v () ]
+      in
+      tokens := (r, t) :: !tokens
+  done;
+  List.iter (fun (r, t) -> ignore (G.add g (G.Ss_out r) [ t ])) !tokens;
+  g
+
+module Key_tbl = Hashtbl.Make (T.Cse.Key)
+
+let cse_key_matches_structural =
+  QCheck.Test.make ~name:"CSE key equality = structural key equality"
+    ~count:100
+    (QCheck.make QCheck.Gen.(int_range 0 10_000))
+    (fun seed ->
+      let g = random_keyed_graph (Random.State.make [| seed |]) in
+      let ids = G.node_ids g in
+      let merged = ref 0 in
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              match
+                ( structural_key g x,
+                  structural_key g y,
+                  T.Cse.key_of g x,
+                  T.Cse.key_of g y )
+              with
+              | Some sx, Some sy, Some kx, Some ky ->
+                let same = sx = sy in
+                if same && x <> y then incr merged;
+                let tbl = Key_tbl.create 16 in
+                Key_tbl.replace tbl kx x;
+                if T.Cse.Key.equal kx ky <> same
+                   || (same && T.Cse.Key.hash kx <> T.Cse.Key.hash ky)
+                   || Key_tbl.mem tbl ky <> same
+                then
+                  QCheck.Test.fail_reportf "nodes %d and %d: structural %b" x
+                    y same
+              | None, _, None, _ | _, None, _, None -> ()
+              | _ ->
+                QCheck.Test.fail_reportf "nodes %d and %d: keyed differently"
+                  x y)
+            ids)
+        ids;
+      !merged > 0)
+
 let suite =
   [
     Alcotest.test_case "const fold binop" `Quick test_const_fold_binop;
@@ -433,6 +535,7 @@ let suite =
     Alcotest.test_case "FIR Fig.3 shape" `Quick test_fir_fig3_shape;
     Alcotest.test_case "fixpoint terminates" `Quick test_fixpoint_terminates;
     Alcotest.test_case "simplify never grows" `Quick test_simplify_never_grows;
+    QCheck_alcotest.to_alcotest cse_key_matches_structural;
     QCheck_alcotest.to_alcotest simplify_preserves_semantics;
     QCheck_alcotest.to_alcotest each_pass_preserves;
     QCheck_alcotest.to_alcotest engines_agree_on_programs;
