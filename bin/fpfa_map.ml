@@ -624,7 +624,12 @@ let simplify input func =
         let changed =
           List.fold_left
             (fun changed (pass : Transform.Pass.t) ->
-              let fired = pass.Transform.Pass.run g in
+              (* settled passes wait for a quiet round, as in
+                 Pass.run_fixpoint *)
+              let fired =
+                (not (pass.Transform.Pass.settled && changed))
+                && pass.Transform.Pass.run g
+              in
               if fired then
                 rows := describe (Printf.sprintf "round %d: %s" n pass.Transform.Pass.name) :: !rows;
               fired || changed)

@@ -88,7 +88,7 @@ let run g =
     (G.topo_order g);
   !changed
 
-let pass = { Pass.name = "cse"; run }
+let pass = { Pass.name = "cse"; run; settled = false }
 
 (* Worklist variant: the value-number table lives for the whole engine run.
    Entries go stale when a representative is removed or its inputs change;

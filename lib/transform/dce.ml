@@ -39,7 +39,7 @@ let run g =
   sweep ();
   !changed
 
-let pass = { Pass.name = "dce"; run }
+let pass = { Pass.name = "dce"; run; settled = false }
 
 (* Worklist variant: a non-root node with zero uses is removed; the removal
    marks its producers use-dirty, so the engine re-examines them and the

@@ -334,6 +334,7 @@ let pass ?(on_report = fun _ -> ()) ~oracle_of () =
         let report = prune ~oracle:(oracle_of g) g in
         on_report report;
         report.removed + report.retargeted > 0);
+    settled = false;
   }
 
 let pp_report fmt r =

@@ -72,7 +72,7 @@ let run_store_to_fetch g =
     (G.node_ids g);
   !changed
 
-let store_to_fetch = { Pass.name = "store-to-fetch"; run = run_store_to_fetch }
+let store_to_fetch = { Pass.name = "store-to-fetch"; run = run_store_to_fetch; settled = false }
 
 let store_to_fetch_rule = Pass.local "store-to-fetch" forward_fetch
 
@@ -126,7 +126,7 @@ let run_dead_store g =
     (G.node_ids g);
   !changed
 
-let dead_store = { Pass.name = "dead-store"; run = run_dead_store }
+let dead_store = { Pass.name = "dead-store"; run = run_dead_store; settled = false }
 let dead_store_rule = Pass.local "dead-store" bypass_dead_store
 
 (* {2 Token-order canonical form}
@@ -225,6 +225,6 @@ let run_order_canon g =
     (G.node_ids g);
   !changed
 
-let order_canon = { Pass.name = "order-canon"; run = run_order_canon }
+let order_canon = { Pass.name = "order-canon"; run = run_order_canon; settled = false }
 
 let order_canon_rule = Pass.local "order-canon" canon_node

@@ -83,4 +83,4 @@ let run g =
   List.iter (fun id -> if G.mem g id then visit (G.node g id)) (G.node_ids g);
   !changed
 
-let pass = { Pass.name = "mux-hoist"; run }
+let pass = { Pass.name = "mux-hoist"; run; settled = false }

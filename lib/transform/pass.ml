@@ -1,7 +1,7 @@
 module G = Cdfg.Graph
 module Obs = Fpfa_obs.Obs
 
-type t = { name : string; run : Cdfg.Graph.t -> bool }
+type t = { name : string; run : Cdfg.Graph.t -> bool; settled : bool }
 
 (* Engine tallies, visible in `fpfa_map ... --stats` (counters are inert
    until Obs.enable). Per-rule counters are registered lazily in
@@ -47,6 +47,8 @@ let run_fixpoint ?(max_rounds = 100) ?verify passes g =
     let changed =
       List.fold_left
         (fun changed pass ->
+          if pass.settled && changed then changed
+          else
           let fired =
             Obs.span ~cat:"transform" pass.name (fun () -> pass.run g)
           in

@@ -17,6 +17,11 @@ type t = {
   name : string;
   run : Cdfg.Graph.t -> bool;
       (** Mutates the graph; returns true when anything changed. *)
+  settled : bool;
+      (** {!run_fixpoint} skips a settled pass in any round where an
+          earlier pass already fired, so it only ever sees a graph the
+          other passes have left unchanged for a full round — the
+          fixpoint counterpart of {!type-rule}.settled. *)
 }
 
 type verify_hook = string -> Cdfg.Graph.t -> Cdfg.Graph.Id_set.t -> unit
@@ -31,7 +36,8 @@ exception Verification_failed of { rule : string; error : exn }
 
 val run_fixpoint :
   ?max_rounds:int -> ?verify:verify_hook -> t list -> Cdfg.Graph.t -> int
-(** Runs the pass list repeatedly until one full round changes nothing.
+(** Runs the pass list repeatedly until one full round changes nothing
+    (settled passes run only in rounds where no earlier pass fired).
     Returns the number of rounds executed. [max_rounds] (default 100)
     guards against non-terminating rewrite interactions. [~verify] runs
     after every pass that changed the graph, with the full node set as the

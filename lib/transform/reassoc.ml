@@ -130,7 +130,13 @@ let run g =
     (G.node_ids g);
   !changed
 
-let pass = { Pass.name = "reassociate"; run }
+(* Settled, like [rule]: the fixpoint engine runs it only in a round where
+   no earlier pass fired, so chain boundaries are read off a graph the
+   other passes (DCE in particular) have finished with. Run eagerly it
+   settles on shapes that depend on transient use counts: on random DAG
+   seed 4750 it left [56*(59*(29*55))] where the worklist engine builds
+   [(56*59)*(29*55)]; both are canonical shapes of the same chain. *)
+let pass = { Pass.name = "reassociate"; run; settled = true }
 
 (* Worklist variant: use counts come from the live index instead of a
    snapshot, so re-examining a node after its chain changed is O(chain).

@@ -44,7 +44,7 @@ let run_const_fold g =
     (G.node_ids g);
   !changed
 
-let const_fold = { Pass.name = "const-fold"; run = run_const_fold }
+let const_fold = { Pass.name = "const-fold"; run = run_const_fold; settled = false }
 
 let const_fold_rule = Pass.local "const-fold" fold_node
 
@@ -135,7 +135,7 @@ let run_algebraic g =
     (G.node_ids g);
   !changed
 
-let algebraic = { Pass.name = "algebraic"; run = run_algebraic }
+let algebraic = { Pass.name = "algebraic"; run = run_algebraic; settled = false }
 
 let algebraic_rule = Pass.local "algebraic" algebraic_node
 
@@ -172,6 +172,6 @@ let run_strength_reduce g =
     (G.node_ids g);
   !changed
 
-let strength_reduce = { Pass.name = "strength-reduce"; run = run_strength_reduce }
+let strength_reduce = { Pass.name = "strength-reduce"; run = run_strength_reduce; settled = false }
 
 let strength_reduce_rule = Pass.local "strength-reduce" strength_reduce_node

@@ -62,6 +62,7 @@ let test_pass_checked_catches_breakage () =
               [ const; List.nth (Cdfg.Graph.inputs g fe) 1 ];
             true
           | None -> false);
+      settled = false;
     }
   in
   let g = Cdfg.Builder.build_program "void main() { x = a[0]; }" in
@@ -71,7 +72,7 @@ let test_pass_checked_catches_breakage () =
 
 let test_fixpoint_bound () =
   (* a pass that always reports change must hit the round bound *)
-  let restless = { Transform.Pass.name = "restless"; run = (fun _ -> true) } in
+  let restless = { Transform.Pass.name = "restless"; run = (fun _ -> true); settled = false } in
   let g = Cdfg.Builder.build_program "void main() { x = 1; }" in
   match Transform.Pass.run_fixpoint ~max_rounds:5 [ restless ] g with
   | exception Failure _ -> ()
