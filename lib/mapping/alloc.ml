@@ -12,6 +12,15 @@ let c_reg_hits = Obs.counter "alloc.register_hits"
 let c_retries = Obs.counter "alloc.level_retries"
 let c_inserted = Obs.counter "alloc.inserted_cycles"
 
+(* Why level attempts fail: each candidate move cycle a resource refuses
+   counts once, against the first resource that refused it (bus, then the
+   source memory's read port, then the bank's write port, then a free
+   register). *)
+let c_blocked_bus = Obs.counter "alloc.blocked.bus"
+let c_blocked_read = Obs.counter "alloc.blocked.read_port"
+let c_blocked_bank = Obs.counter "alloc.blocked.bank_write"
+let c_blocked_reg = Obs.counter "alloc.blocked.register"
+
 type options = { locality : bool; forwarding : bool; interleave : bool }
 
 let default_options = { locality = true; forwarding = false; interleave = false }
@@ -21,64 +30,142 @@ exception Allocation_error of string
 let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Resource bookkeeping: counters per cycle with a plan/commit split so
-   that a failed level attempt leaves no trace.                         *)
+(* Resource bookkeeping. Every per-cycle resource is one flat table of
+   use counts indexed by [cycle * width + slot]; a level attempt bumps the
+   counts in place and logs each bump, so a failed attempt undoes exactly
+   its own log and leaves no trace.                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Counter = struct
-  type 'k t = ('k, int) Hashtbl.t
+(* A growable int stack. *)
+module Log = struct
+  type t = { mutable items : int array; mutable len : int }
 
-  let create () = Hashtbl.create 64
-  let get tbl key = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0
-  let bump tbl key = Hashtbl.replace tbl key (get tbl key + 1)
+  let create () = { items = Array.make 16 0; len = 0 }
 
-  let merge ~into src =
-    Hashtbl.iter (fun k v -> Hashtbl.replace into k (get into k + v)) src
+  let push t x =
+    if t.len = Array.length t.items then begin
+      let grown = Array.make (2 * t.len) 0 in
+      Array.blit t.items 0 grown 0 t.len;
+      t.items <- grown
+    end;
+    t.items.(t.len) <- x;
+    t.len <- t.len + 1
 end
 
-(* Register banks: interval allocation per (pp, bank, index). *)
+(* Use counts of one resource, [cycle * width + slot] -> uses, in 16-bit
+   cells: no count exceeds the number of port slots of a cycle (a port is
+   used at most once per cycle, and every crossbar transfer also takes a
+   memory or bank port), and the compact store keeps a small kernel's
+   tables in the minor heap. *)
+module Slots = struct
+  type t = { width : int; mutable counts : Bytes.t }
+
+  (* Sized for [cycles] cycles up front, doubled on demand. *)
+  let create ~width ~cycles =
+    { width; counts = Bytes.make (2 * width * max 1 cycles) '\000' }
+
+  let index t ~cycle slot = (cycle * t.width) + slot
+
+  let get t i =
+    if 2 * i < Bytes.length t.counts then Bytes.get_uint16_le t.counts (2 * i)
+    else 0
+
+  let bump t i =
+    let len = Bytes.length t.counts in
+    if 2 * i >= len then begin
+      let grown = Bytes.make (max ((2 * i) + 2) (2 * len)) '\000' in
+      Bytes.blit t.counts 0 grown 0 len;
+      t.counts <- grown
+    end;
+    let v = Bytes.get_uint16_le t.counts (2 * i) in
+    if v = 0xFFFF then invalid_arg "Alloc.Slots.bump: count overflow";
+    Bytes.set_uint16_le t.counts (2 * i) (v + 1)
+
+  let unbump t i =
+    Bytes.set_uint16_le t.counts (2 * i) (Bytes.get_uint16_le t.counts (2 * i) - 1)
+end
+
+(* Register banks, one flat index per (pp, bank, index) register.
+
+   An operand occupies its register over [move cycle, execute cycle] and
+   every interval ends at the execute cycle of the level that planned it.
+   Levels commit in increasing execute-cycle order (each attempt starts
+   past the previous level's cycle), so when a level executing at [exec]
+   asks for a register over [lo, exec]:
+   - a committed interval [l, e] has e < exec, hence l <= exec, so it
+     overlaps exactly when e >= lo; the latest committed end of the
+     register decides for all of them at once;
+   - an interval planned earlier in the same attempt ends at [exec] too,
+     so it always overlaps.
+   One latest end per register plus the stamp of the attempt that last
+   planned it therefore answers every probe in O(1); [commit] asserts the
+   ordering the argument rests on. *)
 module Regs = struct
   type t = {
-    regs_per_bank : int;
-    committed : (int * int * int, (int * int) list) Hashtbl.t;
-        (** (pp, bank, index) -> busy [lo, hi] intervals *)
+    per_bank : int;
+    latest_end : int array;  (** end of the latest committed interval, or -1 *)
+    planned : int array;  (** stamp of the attempt that planned it *)
+    mutable stamp : int;  (** current attempt *)
+    log : Log.t;  (** registers the current attempt planned *)
   }
 
-  let create regs_per_bank = { regs_per_bank; committed = Hashtbl.create 64 }
+  let create ~registers per_bank =
+    {
+      per_bank;
+      latest_end = Array.make registers (-1);
+      planned = Array.make registers (-1);
+      stamp = 0;
+      log = Log.create ();
+    }
 
-  let overlaps (lo1, hi1) (lo2, hi2) = lo1 <= hi2 && lo2 <= hi1
-
-  let free_index t plan ~pp ~bank ~lo ~hi =
-    let busy index =
-      let key = (pp, bank, index) in
-      let committed =
-        match Hashtbl.find_opt t.committed key with Some l -> l | None -> []
-      in
-      let planned =
-        List.filter_map
-          (fun (k, interval) -> if k = key then Some interval else None)
-          plan
-      in
-      List.exists (overlaps (lo, hi)) (committed @ planned)
-    in
+  (* First free index of the bank whose registers start at [base] over
+     [lo, exec], or -1. *)
+  let free_index t ~base ~lo =
     let rec search index =
-      if index >= t.regs_per_bank then None
-      else if busy index then search (index + 1)
-      else Some index
+      if index >= t.per_bank then -1
+      else
+        let r = base + index in
+        if t.planned.(r) = t.stamp || t.latest_end.(r) >= lo then
+          search (index + 1)
+        else index
     in
     search 0
 
-  let commit t plan =
-    List.iter
-      (fun (key, interval) ->
-        let old =
-          match Hashtbl.find_opt t.committed key with Some l -> l | None -> []
-        in
-        Hashtbl.replace t.committed key (interval :: old))
-      plan
+  let plan t r =
+    t.planned.(r) <- t.stamp;
+    Log.push t.log r
+
+  let new_attempt t =
+    t.stamp <- t.stamp + 1;
+    t.log.Log.len <- 0
+
+  let commit t ~exec =
+    for i = 0 to t.log.Log.len - 1 do
+      let r = t.log.Log.items.(i) in
+      assert (t.latest_end.(r) < exec);
+      t.latest_end.(r) <- exec
+    done
 end
 
 (* ------------------------------------------------------------------ *)
+
+type source =
+  | Unresolved
+  | Immediate of int
+  | In_memory of Job.mem_loc * int * int
+      (** cell, first readable cycle, last readable cycle (the value may be
+          overwritten by an already-committed write-back after that) *)
+
+(* A register operand of one of the level's clusters. Its source does not
+   change while the level is retried (only commits move write-backs), so
+   it is resolved once, on first use. *)
+type operand = {
+  ocid : int;
+  opp : int;
+  oport : int;
+  oinput : G.id;
+  mutable osrc : source;
+}
 
 type state = {
   tile : Arch.tile;
@@ -87,21 +174,28 @@ type state = {
   sched : Sched.t;
   clustering : Cluster.t;
   pp_of : int array;
+  banks : int;  (** register banks per PP, covering every cluster port *)
+  mems : int;  (** memories per PP *)
   (* resources *)
-  bus : int Counter.t;  (* cycle -> transfers *)
-  read_port : (int * int * int) Counter.t;  (* (cycle, pp, mem) -> reads *)
-  write_port : (int * int * int) Counter.t;
-  bank_write : (int * int * int) Counter.t;
-      (* (cycle, pp, bank) -> register-bank writes; one port per bank *)
+  bus : Slots.t;  (* cycle -> transfers *)
+  read_port : Slots.t;  (* (cycle, pp * mems + mem) -> reads *)
+  write_port : Slots.t;
+  bank_write : Slots.t;
+      (* (cycle, pp * banks + bank) -> register-bank writes; one port per bank *)
+  bumps : Log.t;  (* the attempt's bumps: slot index * 3 + resource *)
   regs : Regs.t;
-  cell_last_write : (int * int * int, int) Hashtbl.t;  (* cell -> cycle *)
+  cell_last_write : (int, int) Hashtbl.t;  (* cell key -> cycle *)
   (* placement *)
   mutable homes : (string * Job.mem_loc list) list;
   mutable sizes : (string * int) list;
-  next_free : (int * int, int) Hashtbl.t;  (* (pp, mem) -> next address *)
-  scratch_of : (int, Job.mem_loc) Hashtbl.t;  (* cid -> scratch cell *)
-  writeback_of : (G.id, int) Hashtbl.t;  (* St node -> commit cycle *)
-  scratch_wb_of : (int, int) Hashtbl.t;  (* cid -> scratch commit cycle *)
+  next_free : int array;  (* pp * mems + mem -> next address *)
+  scratch_of : Job.mem_loc option array;  (* cid -> scratch cell *)
+  scratch_wb_of : int array;  (* cid -> scratch commit cycle *)
+  writeback_of : (G.id, int) Hashtbl.t;  (* St/Del node -> commit cycle *)
+  (* the current attempt *)
+  mutable p_moves : (int * Job.move) list;  (* (cycle, move), newest first *)
+  mutable p_forwards : (int * (int * Job.reg)) list;  (* producer cid, dest *)
+  port_regs_of : (int * Job.reg) list array;  (* cid -> planned operands *)
   (* output records *)
   mutable rec_moves : (int * Job.move) list;  (* (cycle, move) *)
   mutable rec_alu : (int * Job.alu_work) list;  (* (exec cycle, work) *)
@@ -111,8 +205,7 @@ type state = {
   exec_of_level : int array;
   exec_of_cluster : int array;
   root_has_external : bool array;
-  consumers : (G.id, (G.id * int) list) Hashtbl.t;
-  overwriters_of : (G.id, G.id list) Hashtbl.t;
+  overwriter_of : (G.id, G.id) Hashtbl.t;
       (** fetch -> first same-cell store/delete downstream of its token *)
   endangered_by : (G.id, G.id list) Hashtbl.t;
       (** store/delete -> fetches of the value it destroys *)
@@ -121,101 +214,120 @@ type state = {
   mutable rec_copies : (int * Job.copy) list;
 }
 
-let cell_key (loc : Job.mem_loc) = (loc.Job.mpp, loc.Job.mem, loc.Job.addr)
+let bus_tag = 0
+let read_tag = 1
+let bank_tag = 2
+
+let bump st slots tag i =
+  Slots.bump slots i;
+  Log.push st.bumps ((i * 3) + tag)
+
+let undo_bumps st =
+  for k = st.bumps.Log.len - 1 downto 0 do
+    let e = st.bumps.Log.items.(k) in
+    let i = e / 3 in
+    match e mod 3 with
+    | 0 -> Slots.unbump st.bus i
+    | 1 -> Slots.unbump st.read_port i
+    | _ -> Slots.unbump st.bank_write i
+  done;
+  st.bumps.Log.len <- 0
+
+let mem_slot st (loc : Job.mem_loc) = (loc.Job.mpp * st.mems) + loc.Job.mem
+
+let cell_key st (loc : Job.mem_loc) =
+  (mem_slot st loc * st.tile.Arch.memory_size) + loc.Job.addr
 
 (* --------------------------- region homes -------------------------- *)
 
-let region_static_size g region info =
-  let max_offset =
-    G.fold g ~init:(-1) ~f:(fun acc n ->
-        match n.G.kind with
-        | G.Fe r | G.St r | G.Del r when String.equal r region ->
-          max acc (Legalize.const_offset g n.G.id)
-        | _ -> acc)
-  in
+(* Highest static offset accessed per region, in one pass over the
+   graph. *)
+let max_offsets g =
+  let tbl = Hashtbl.create 16 in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.Fe r | G.St r | G.Del r ->
+        let offset = Legalize.const_offset g id in
+        let old = match Hashtbl.find_opt tbl r with Some m -> m | None -> -1 in
+        if offset > old then Hashtbl.replace tbl r offset
+      | _ -> ());
+  tbl
+
+let region_static_size max_offsets region info =
   match info.G.size with
   | Some size -> size
-  | None -> max 1 (max_offset + 1)
-
-let alloc_words st ~preferred_pp words =
-  let tile = st.tile in
-  let try_loc pp mem =
-    let used =
-      match Hashtbl.find_opt st.next_free (pp, mem) with Some v -> v | None -> 0
+  | None ->
+    let max_offset =
+      match Hashtbl.find_opt max_offsets region with Some m -> m | None -> -1
     in
-    if used + words <= tile.Arch.memory_size then begin
-      Hashtbl.replace st.next_free (pp, mem) (used + words);
-      Some { Job.mpp = pp; mem; addr = used }
+    max 1 (max_offset + 1)
+
+(* The PP's least-used memory that can still hold [words] (ties: lowest
+   memory index), or -1. *)
+let roomiest_mem st pp words =
+  let best = ref (-1) and best_used = ref max_int in
+  for mem = 0 to st.mems - 1 do
+    let used = st.next_free.((pp * st.mems) + mem) in
+    if used < !best_used && used + words <= st.tile.Arch.memory_size then begin
+      best := mem;
+      best_used := used
     end
-    else None
+  done;
+  !best
+
+(* [words] fresh words, in [preferred_pp]'s memories if they fit, else the
+   first other PP's, in PP order. *)
+let alloc_words st ~preferred_pp words =
+  let take pp mem =
+    let slot = (pp * st.mems) + mem in
+    let used = st.next_free.(slot) in
+    st.next_free.(slot) <- used + words;
+    { Job.mpp = pp; mem; addr = used }
   in
-  let pps =
-    preferred_pp
-    :: List.filter (fun p -> p <> preferred_pp)
-         (List.init tile.Arch.alu_count Fun.id)
-  in
-  let rec search = function
-    | [] -> errorf "no tile memory can hold %d more words" words
-    | pp :: rest -> (
-      (* Prefer the least-used memory of the PP for balance. *)
-      let mems =
-        List.init tile.Arch.memories_per_pp Fun.id
-        |> List.sort (fun a b ->
-               compare
-                 (match Hashtbl.find_opt st.next_free (pp, a) with
-                 | Some v -> v
-                 | None -> 0)
-                 (match Hashtbl.find_opt st.next_free (pp, b) with
-                 | Some v -> v
-                 | None -> 0))
-      in
-      match List.find_map (try_loc pp) mems with
-      | Some loc -> Some loc
-      | None -> search rest)
-  in
-  match search pps with Some loc -> loc | None -> assert false
+  match roomiest_mem st preferred_pp words with
+  | mem when mem >= 0 -> take preferred_pp mem
+  | _ ->
+    let rec search pp =
+      if pp >= st.tile.Arch.alu_count then
+        errorf "no tile memory can hold %d more words" words
+      else if pp = preferred_pp then search (pp + 1)
+      else
+        match roomiest_mem st pp words with
+        | mem when mem >= 0 -> take pp mem
+        | _ -> search (pp + 1)
+    in
+    search 0
 
 let assign_homes st =
   let g = st.graph in
-  let order = ref [] in
   (* Regions in order of first store, then first fetch, by allocation order
      of clusters; locality picks the touching cluster's PP. *)
+  let first_touch = Hashtbl.create 16 in
   Array.iter
     (fun level_cids ->
       List.iter
         (fun cid ->
           let c = st.clustering.Cluster.clusters.(cid) in
-          let touch region = order := (region, st.pp_of.(cid)) :: !order in
+          let touch region =
+            if not (Hashtbl.mem first_touch region) then
+              Hashtbl.replace first_touch region st.pp_of.(cid)
+          in
           List.iter
-            (fun stn ->
-              match G.kind g stn with
-              | G.St r -> touch r
-              | _ -> ())
+            (fun stn -> match G.kind g stn with G.St r -> touch r | _ -> ())
             c.Cluster.stores;
           List.iter
-            (fun del ->
-              match G.kind g del with
-              | G.Del r -> touch r
-              | _ -> ())
+            (fun del -> match G.kind g del with G.Del r -> touch r | _ -> ())
             c.Cluster.deletes;
           List.iter
-            (fun input ->
-              match G.kind g input with
-              | G.Fe r -> touch r
-              | _ -> ())
+            (fun input -> match G.kind g input with G.Fe r -> touch r | _ -> ())
             c.Cluster.cinputs)
         level_cids)
     st.sched.Sched.levels;
-  let first_touch = Hashtbl.create 16 in
-  List.iter
-    (fun (region, pp) ->
-      if not (Hashtbl.mem first_touch region) then
-        Hashtbl.replace first_touch region pp)
-    (List.rev !order);
+  let max_offsets = max_offsets g in
   let counter = ref 0 in
   List.iter
     (fun (region, info) ->
-      let words = region_static_size g region info in
+      let words = region_static_size max_offsets region info in
       let preferred_pp =
         if st.options.locality then
           match Hashtbl.find_opt first_touch region with
@@ -255,11 +367,10 @@ let home_cell st region offset =
 
 (* ------------------------ value source lookup ---------------------- *)
 
-type source =
-  | Immediate of int
-  | In_memory of Job.mem_loc * int * int
-      (** cell, first readable cycle, last readable cycle (the value may be
-          overwritten by an already-committed write-back after that) *)
+let cluster_of st node =
+  match Hashtbl.find_opt st.clustering.Cluster.cluster_of node with
+  | Some cid -> cid
+  | None -> -1
 
 (* Which memory word carries the value of [input], and from which cycle it
    is readable. *)
@@ -268,16 +379,12 @@ let source_of st input =
   match G.kind g input with
   | G.Const c -> Immediate c
   | G.Binop _ | G.Unop _ | G.Mux -> (
-    let cid =
-      match Hashtbl.find_opt st.clustering.Cluster.cluster_of input with
-      | Some cid -> cid
-      | None -> errorf "value node %d is unclustered" input
-    in
-    match Hashtbl.find_opt st.scratch_of cid with
+    let cid = cluster_of st input in
+    if cid < 0 then errorf "value node %d is unclustered" input;
+    match st.scratch_of.(cid) with
     | Some loc ->
-      let wb = Hashtbl.find st.scratch_wb_of cid in
       (* scratch words are single-assignment: no deadline *)
-      In_memory (loc, wb + 1, max_int)
+      In_memory (loc, st.scratch_wb_of.(cid) + 1, max_int)
     | None -> errorf "cluster %d produced no scratch word for node %d" cid input)
   | G.Fe _ when Hashtbl.mem st.preserve_of input ->
     let cell, ready = Hashtbl.find st.preserve_of input in
@@ -285,30 +392,25 @@ let source_of st input =
   | G.Fe region -> (
     let offset = Legalize.const_offset g input in
     let cell = home_cell st region offset in
-    (* Resolve which version the fetch reads by walking the token chain
-       with constant offsets. *)
     (* The cell becomes unreadable once an already-committed overwriting
        write-back lands: the move must happen no later than that cycle
-       (reads precede the end-of-cycle write commit). Overwriters allocated
-       at later levels cannot land before this level's moves. *)
+       (reads precede the end-of-cycle write commit). Overwriters not yet
+       allocated execute at later cycles and cannot land before this
+       level's moves. *)
     let deadline =
-      match Hashtbl.find_opt st.overwriters_of input with
+      match Hashtbl.find_opt st.overwriter_of input with
       | None -> max_int
-      | Some overwriters ->
-        List.fold_left
-          (fun acc d ->
-            (* overwriters not yet allocated execute at later cycles and
-               cannot land before this level's moves *)
-            match Hashtbl.find_opt st.writeback_of d with
-            | Some wb -> min acc wb
-            | None -> acc)
-          max_int overwriters
+      | Some d -> (
+        match Hashtbl.find_opt st.writeback_of d with
+        | Some wb -> wb
+        | None -> max_int)
     in
+    (* Resolve which version the fetch reads by walking the token chain
+       with constant offsets. *)
     let rec walk token =
       match G.kind g token with
       | G.St _ ->
-        let st_offset = Legalize.const_offset g token in
-        if st_offset = offset then
+        if Legalize.const_offset g token = offset then
           let wb =
             match Hashtbl.find_opt st.writeback_of token with
             | Some wb -> wb
@@ -317,33 +419,37 @@ let source_of st input =
                 token
           in
           In_memory (cell, wb + 1, deadline)
-        else walk (List.nth (G.inputs g token) 0)
+        else walk (G.input g token 0)
       | G.Del _ ->
-        let del_offset = Legalize.const_offset g token in
-        if del_offset = offset then
+        if Legalize.const_offset g token = offset then
           errorf "fetch %d reads a deleted tuple" input
-        else walk (List.nth (G.inputs g token) 0)
+        else walk (G.input g token 0)
       | G.Ss_in _ -> In_memory (cell, 0, deadline)
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
         errorf "malformed token chain at node %d" token
     in
-    walk (List.nth (G.inputs g input) 0))
+    walk (G.input g input 0))
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
     errorf "node %d cannot be a cluster operand" input
 
 (* --------------------------- micro-ops ----------------------------- *)
 
+(* Position of [x] in [l], or -1. *)
+let index_of x l =
+  let rec go i = function
+    | [] -> -1
+    | y :: rest -> if y = x then i else go (i + 1) rest
+  in
+  go 0 l
+
 let micros_of_cluster st (c : Cluster.cluster) =
   let g = st.graph in
-  let ports = List.mapi (fun i input -> (input, i)) c.Cluster.cinputs in
-  let member = Hashtbl.create 8 in
-  List.iter (fun op -> Hashtbl.replace member op ()) c.Cluster.ops;
   let arg_of input =
-    if Hashtbl.mem member input then Job.Node input
+    if List.mem input c.Cluster.ops then Job.Node input
     else
-      match List.assoc_opt input ports with
-      | Some p -> Job.Port p
-      | None -> errorf "operand %d of cluster %d is not a port" input c.Cluster.cid
+      match index_of input c.Cluster.cinputs with
+      | -1 -> errorf "operand %d of cluster %d is not a port" input c.Cluster.cid
+      | p -> Job.Port p
   in
   match c.Cluster.ops with
   | [] -> (
@@ -367,120 +473,104 @@ let micros_of_cluster st (c : Cluster.cluster) =
 
 (* ------------------------------ planning --------------------------- *)
 
-type plan = {
-  p_bus : int Counter.t;
-  p_read : (int * int * int) Counter.t;
-  p_bank_write : (int * int * int) Counter.t;
-  mutable p_regs : ((int * int * int) * (int * int)) list;
-  mutable p_moves : (int * Job.move) list;
-  mutable p_forwards : (int * (int * Job.reg)) list;  (* producer cid, dest *)
-  mutable p_port_regs : (int, (int * Job.reg) list) Hashtbl.t option;
-}
-
-let new_plan () =
-  {
-    p_bus = Counter.create ();
-    p_read = Counter.create ();
-    p_bank_write = Counter.create ();
-    p_regs = [];
-    p_moves = [];
-    p_forwards = [];
-    p_port_regs = None;
-  }
-
-let bus_free st plan cycle =
-  Counter.get st.bus cycle + Counter.get plan.p_bus cycle < st.tile.Arch.buses
-
-let read_free st plan key =
-  Counter.get st.read_port key + Counter.get plan.p_read key < 1
+let bus_free st cycle =
+  Slots.get st.bus (Slots.index st.bus ~cycle 0) < st.tile.Arch.buses
 
 (* Each register bank has a single write port (paper VI-C lists it among
    the allocation challenges). *)
-let bank_write_free st plan key =
-  Counter.get st.bank_write key + Counter.get plan.p_bank_write key < 1
+let bank_slot st ~cycle ~pp ~port =
+  Slots.index st.bank_write ~cycle ((pp * st.banks) + port)
 
-(* Finds a register move for one operand of a cluster executing at [exec]
-   on [pp], bank [port]. Paper order: window steps before first, then
-   closer. Returns false when no cycle in the window works. *)
-let plan_operand st plan ~exec ~pp ~port ~cluster input =
-  match source_of st input with
+let reg_base st ~pp ~port = ((pp * st.banks) + port) * st.tile.Arch.regs_per_bank
+
+let plan_reg st (o : operand) ~cycle index =
+  let reg = { Job.pp = o.opp; bank = o.oport; index } in
+  Regs.plan st.regs (reg_base st ~pp:o.opp ~port:o.oport + index);
+  bump st st.bus bus_tag (Slots.index st.bus ~cycle 0);
+  bump st st.bank_write bank_tag (bank_slot st ~cycle ~pp:o.opp ~port:o.oport);
+  st.port_regs_of.(o.ocid) <- (o.oport, reg) :: st.port_regs_of.(o.ocid);
+  reg
+
+(* Extension: the producing cluster writes straight into the consumer's
+   register at its own execute cycle. *)
+let try_forward st ~exec (o : operand) =
+  st.options.forwarding
+  &&
+  match G.kind st.graph o.oinput with
+  | G.Binop _ | G.Unop _ | G.Mux ->
+    let pcid = cluster_of st o.oinput in
+    let t_p = st.exec_of_cluster.(pcid) in
+    t_p >= 0
+    && exec - t_p >= 1
+    && exec - t_p <= st.tile.Arch.move_window
+    && bus_free st t_p
+    && Slots.get st.bank_write (bank_slot st ~cycle:t_p ~pp:o.opp ~port:o.oport) < 1
+    &&
+    let index =
+      Regs.free_index st.regs ~base:(reg_base st ~pp:o.opp ~port:o.oport) ~lo:t_p
+    in
+    index >= 0
+    && begin
+         let reg = plan_reg st o ~cycle:t_p index in
+         st.p_forwards <- (pcid, (t_p, reg)) :: st.p_forwards;
+         true
+       end
+  | _ -> false
+
+(* A register move of [o] from [src] at cycle [u], if every resource on
+   its path is free. *)
+let try_move_at st (o : operand) (src : Job.mem_loc) u =
+  if not (bus_free st u) then begin
+    Obs.incr c_blocked_bus;
+    false
+  end
+  else
+    let read = Slots.index st.read_port ~cycle:u (mem_slot st src) in
+    if Slots.get st.read_port read >= 1 then begin
+      Obs.incr c_blocked_read;
+      false
+    end
+    else if Slots.get st.bank_write (bank_slot st ~cycle:u ~pp:o.opp ~port:o.oport) >= 1
+    then begin
+      Obs.incr c_blocked_bank;
+      false
+    end
+    else
+      match
+        Regs.free_index st.regs ~base:(reg_base st ~pp:o.opp ~port:o.oport) ~lo:u
+      with
+      | -1 ->
+        Obs.incr c_blocked_reg;
+        false
+      | index ->
+        let reg = plan_reg st o ~cycle:u index in
+        bump st st.read_port read_tag read;
+        st.p_moves <-
+          (u, { Job.src; dst = reg; carried = o.oinput; for_cluster = o.ocid })
+          :: st.p_moves;
+        true
+
+(* Finds a register move for one operand of a cluster executing at [exec].
+   Paper order: window steps before first, then closer. Returns false when
+   no candidate cycle works. *)
+let plan_operand st ~exec (o : operand) =
+  let source =
+    match o.osrc with
+    | Unresolved ->
+      let s = source_of st o.oinput in
+      o.osrc <- s;
+      s
+    | s -> s
+  in
+  match source with
+  | Unresolved -> assert false
   | Immediate _ -> true
   | In_memory (src, avail, deadline) ->
-    let try_forward () =
-      (* Extension: the producing cluster writes straight into the
-         consumer's register at its own execute cycle. *)
-      if not st.options.forwarding then false
-      else
-        match G.kind st.graph input with
-        | G.Binop _ | G.Unop _ | G.Mux -> (
-          let pcid = Hashtbl.find st.clustering.Cluster.cluster_of input in
-          let t_p = st.exec_of_cluster.(pcid) in
-          t_p >= 0
-          && exec - t_p >= 1
-          && exec - t_p <= st.tile.Arch.move_window
-          && bus_free st plan t_p
-          &&
-          match
-            ( bank_write_free st plan (t_p, pp, port),
-              Regs.free_index st.regs plan.p_regs ~pp ~bank:port ~lo:t_p
-                ~hi:exec )
-          with
-          | true, Some index ->
-            let reg = { Job.pp; bank = port; index } in
-            Counter.bump plan.p_bus t_p;
-            Counter.bump plan.p_bank_write (t_p, pp, port);
-            plan.p_regs <- (((pp, port, index), (t_p, exec)) :: plan.p_regs);
-            plan.p_forwards <- (pcid, (t_p, reg)) :: plan.p_forwards;
-            (match plan.p_port_regs with
-            | Some tbl ->
-              let old =
-                match Hashtbl.find_opt tbl cluster with Some l -> l | None -> []
-              in
-              Hashtbl.replace tbl cluster ((port, reg) :: old)
-            | None -> ());
-            true
-          | _, _ -> false)
-        | _ -> false
-    in
-    let try_move_at u =
-      let dbg = Sys.getenv_opt "FPFA_DEBUG_ALLOC" <> None in
-      let trace cond what =
-        if (not cond) && dbg then
-          Printf.eprintf "  u=%d blocked by %s\n" u what;
-        cond
-      in
-      trace (bus_free st plan u) "bus"
-      && trace (read_free st plan (u, src.Job.mpp, src.Job.mem)) "read-port"
-      && trace (bank_write_free st plan (u, pp, port)) "bank-write-port"
-      &&
-      match
-        (let r = Regs.free_index st.regs plan.p_regs ~pp ~bank:port ~lo:u ~hi:exec in
-         ignore (trace (r <> None) "register");
-         r)
-      with
-      | Some index ->
-        let reg = { Job.pp; bank = port; index } in
-        Counter.bump plan.p_bus u;
-        Counter.bump plan.p_read (u, src.Job.mpp, src.Job.mem);
-        Counter.bump plan.p_bank_write (u, pp, port);
-        plan.p_regs <- ((pp, port, index), (u, exec)) :: plan.p_regs;
-        plan.p_moves <-
-          (u, { Job.src; dst = reg; carried = input; for_cluster = cluster })
-          :: plan.p_moves;
-        (match plan.p_port_regs with
-        | Some tbl ->
-          let old =
-            match Hashtbl.find_opt tbl cluster with Some l -> l | None -> []
-          in
-          Hashtbl.replace tbl cluster ((port, reg) :: old)
-        | None -> ());
-        true
-      | None -> false
-    in
-    try_forward ()
+    try_forward st ~exec o
     ||
     let window = st.tile.Arch.move_window in
     let hi = min (exec - 1) deadline in
+    let floor = max 0 avail in
     (* Candidate move cycles, in preference order:
        1. the paper's window (4, 3, 2, 1 steps before the execute cycle);
        2. widening: progressively earlier cycles — these are the "inserted
@@ -488,22 +578,21 @@ let plan_operand st plan ~exec ~pp ~port ~cluster input =
           simply holding their operand longer;
        3. when an already-committed overwrite imposes a deadline earlier
           than the window, cycles just before the deadline.
-       All bounded so allocation stays linear. *)
-    let in_window = List.init window (fun k -> exec - window + k) in
-    let widened = List.init 64 (fun k -> exec - window - 1 - k) in
-    let before_deadline =
-      if hi < exec - window then List.init 64 (fun k -> hi - k) else []
+       Each range is walked in place, at most 64 cycles deep, so allocation
+       stays linear. The descending ranges stop below [floor]. *)
+    let rec in_window u =
+      u < exec
+      && ((u >= floor && u <= hi && try_move_at st o src u)
+         || in_window (u + 1))
     in
-    let feasible u = u >= 0 && u >= avail && u <= hi in
-    let ok =
-      List.exists try_move_at
-        (List.filter feasible (in_window @ widened @ before_deadline))
+    let rec descending u last =
+      u >= last
+      && u >= floor
+      && ((u <= hi && try_move_at st o src u) || descending (u - 1) last)
     in
-    if (not ok) && Sys.getenv_opt "FPFA_DEBUG_ALLOC" <> None then
-      Printf.eprintf
-        "operand fail: input=%d cluster=%d exec=%d avail=%d deadline=%d hi=%d\n"
-        input cluster exec avail deadline hi;
-    ok
+    in_window (exec - window)
+    || descending (exec - window - 1) (exec - window - 64)
+    || (hi < exec - window && descending hi (hi - 63))
 
 (* Copies the current word of [cell] to a fresh scratch cell before it is
    overwritten, for every fetch of the old value whose consumers sit at
@@ -513,57 +602,46 @@ let preserve_endangered st ~exec mutator cell =
   match Hashtbl.find_opt st.endangered_by mutator with
   | None -> exec
   | Some fes ->
-    let consumers = st.consumers in
+    let level_of = st.sched.Sched.level_of in
     let level_of_mutator =
-      match Hashtbl.find_opt st.clustering.Cluster.cluster_of mutator with
-      | Some cid -> st.sched.Sched.level_of.(cid)
-      | None -> 0
+      match cluster_of st mutator with -1 -> 0 | cid -> level_of.(cid)
     in
     List.fold_left
       (fun earliest fe ->
-        if Hashtbl.mem st.preserve_of fe then
-          let _, ready = Hashtbl.find st.preserve_of fe in
-          max earliest ready
-        else begin
-          let future_reader (user, _) =
-            match Hashtbl.find_opt st.clustering.Cluster.cluster_of user with
-            | Some cid -> st.sched.Sched.level_of.(cid) > level_of_mutator
-            | None -> false
-          in
-          let users =
-            match Hashtbl.find_opt consumers fe with Some l -> l | None -> []
-          in
-          if not (List.exists future_reader users) then earliest
+        match Hashtbl.find_opt st.preserve_of fe with
+        | Some (_, ready) -> max earliest ready
+        | None ->
+          (* The last future reader in consumer order: the old word is
+             parked near it. *)
+          let reader = ref (-1) in
+          G.iter_consumers st.graph fe (fun user _ ->
+              match cluster_of st user with
+              | -1 -> ()
+              | cid -> if level_of.(cid) > level_of_mutator then reader := cid);
+          if !reader < 0 then earliest
           else begin
-            (* Park the old word near its first future reader. *)
-            let preferred_pp =
-              match List.find_opt future_reader users with
-              | Some (user, _) -> (
-                match Hashtbl.find_opt st.clustering.Cluster.cluster_of user with
-                | Some cid -> st.pp_of.(cid)
-                | None -> cell.Job.mpp)
-              | None -> cell.Job.mpp
-            in
-            let scratch = alloc_words st ~preferred_pp 1 in
+            let scratch = alloc_words st ~preferred_pp:st.pp_of.(!reader) 1 in
             let floor =
-              match Hashtbl.find_opt st.cell_last_write (cell_key cell) with
+              match Hashtbl.find_opt st.cell_last_write (cell_key st cell) with
               | Some last -> last + 1
               | None -> 0
             in
             let rec search p =
               if p > floor + 1000 then
                 errorf "preservation copy search exceeded bound";
-              let read_key = (p, cell.Job.mpp, cell.Job.mem) in
-              let write_key = (p, scratch.Job.mpp, scratch.Job.mem) in
+              let read = Slots.index st.read_port ~cycle:p (mem_slot st cell) in
+              let write =
+                Slots.index st.write_port ~cycle:p (mem_slot st scratch)
+              in
               if
-                Counter.get st.read_port read_key < 1
-                && Counter.get st.write_port write_key < 1
-                && Counter.get st.bus p < st.tile.Arch.buses
+                Slots.get st.read_port read < 1
+                && Slots.get st.write_port write < 1
+                && bus_free st p
               then begin
-                Counter.bump st.read_port read_key;
-                Counter.bump st.write_port write_key;
-                Counter.bump st.bus p;
-                Hashtbl.replace st.cell_last_write (cell_key scratch) p;
+                Slots.bump st.read_port read;
+                Slots.bump st.write_port write;
+                Slots.bump st.bus (Slots.index st.bus ~cycle:p 0);
+                Hashtbl.replace st.cell_last_write (cell_key st scratch) p;
                 p
               end
               else search (p + 1)
@@ -571,31 +649,31 @@ let preserve_endangered st ~exec mutator cell =
             let p = search floor in
             Hashtbl.replace st.preserve_of fe (scratch, p + 1);
             st.rec_copies <-
-              (p, { Job.csrc = cell; cdst = scratch; kept = fe })
-              :: st.rec_copies;
+              (p, { Job.csrc = cell; cdst = scratch; kept = fe }) :: st.rec_copies;
             (* the overwrite must not land before the copy has read *)
             max earliest p
-          end
-        end)
+          end)
       exec fes
 
-(* Schedules a memory write at the earliest cycle >= [earliest] with a free
-   write port and bus, preserving per-cell write order. Commits directly
-   (write-backs never fail, so they need no rollback). *)
-let commit_write st ~earliest (cell : Job.mem_loc) =
-  let key = cell_key cell in
+(* Schedules a memory write (with a bus lane unless [no_bus]) at the
+   earliest cycle >= [earliest] with a free write port, preserving
+   per-cell write order. Commits directly (write-backs never fail, so they
+   need no rollback). *)
+let commit_write ?(what = "write-back") ?(bus = true) st ~earliest
+    (cell : Job.mem_loc) =
+  let key = cell_key st cell in
   let floor =
     match Hashtbl.find_opt st.cell_last_write key with
     | Some last -> max earliest (last + 1)
     | None -> earliest
   in
+  let slot = mem_slot st cell in
   let rec search cycle =
-    if cycle > floor + 1000 then errorf "write-back search exceeded bound";
-    let port_key = (cycle, cell.Job.mpp, cell.Job.mem) in
-    if Counter.get st.write_port port_key < 1 && Counter.get st.bus cycle < st.tile.Arch.buses
-    then begin
-      Counter.bump st.write_port port_key;
-      Counter.bump st.bus cycle;
+    if cycle > floor + 1000 then errorf "%s search exceeded bound" what;
+    let port = Slots.index st.write_port ~cycle slot in
+    if Slots.get st.write_port port < 1 && ((not bus) || bus_free st cycle) then begin
+      Slots.bump st.write_port port;
+      if bus then Slots.bump st.bus (Slots.index st.bus ~cycle 0);
       Hashtbl.replace st.cell_last_write key cycle;
       cycle
     end
@@ -603,70 +681,60 @@ let commit_write st ~earliest (cell : Job.mem_loc) =
   in
   search floor
 
-let commit_delete st ~earliest (cell : Job.mem_loc) =
-  let key = cell_key cell in
-  let floor =
-    match Hashtbl.find_opt st.cell_last_write key with
-    | Some last -> max earliest (last + 1)
-    | None -> earliest
-  in
-  let rec search cycle =
-    if cycle > floor + 1000 then errorf "delete search exceeded bound";
-    let port_key = (cycle, cell.Job.mpp, cell.Job.mem) in
-    if Counter.get st.write_port port_key < 1 then begin
-      Counter.bump st.write_port port_key;
-      Hashtbl.replace st.cell_last_write key cycle;
-      cycle
-    end
-    else search (cycle + 1)
-  in
-  search floor
+(* Deletes use the write port but no crossbar lane. *)
+let commit_delete st ~earliest cell =
+  commit_write ~what:"delete" ~bus:false st ~earliest cell
 
 (* --------------------------- level placement ----------------------- *)
 
-let alu_clusters_of_level st level_cids =
-  List.filter
-    (fun cid -> Sched.uses_alu st.clustering.Cluster.clusters.(cid))
-    level_cids
+(* The level's register operands in planning order: ALU clusters in level
+   order, ports in order, immediates skipped. *)
+let level_operands st alu_cids =
+  List.concat_map
+    (fun cid ->
+      let c = st.clustering.Cluster.clusters.(cid) in
+      let pp = st.pp_of.(cid) in
+      let rec go port = function
+        | [] -> []
+        | input :: rest -> (
+          match G.kind st.graph input with
+          | G.Const _ -> go (port + 1) rest
+          | _ ->
+            { ocid = cid; opp = pp; oport = port; oinput = input; osrc = Unresolved }
+            :: go (port + 1) rest)
+      in
+      go 0 c.Cluster.cinputs)
+    alu_cids
 
-let try_level st ~exec level_cids =
-  let plan = new_plan () in
-  plan.p_port_regs <- Some (Hashtbl.create 8);
-  let ok =
-    List.for_all
-      (fun cid ->
-        let c = st.clustering.Cluster.clusters.(cid) in
-        let pp = st.pp_of.(cid) in
-        List.for_all
-          (fun (input, port) -> plan_operand st plan ~exec ~pp ~port ~cluster:cid input)
-          (List.mapi (fun i input -> (input, i)) c.Cluster.cinputs
-          |> List.filter (fun (input, _) ->
-                 match G.kind st.graph input with
-                 | G.Const _ -> false
-                 | _ -> true)))
-      (alu_clusters_of_level st level_cids)
-  in
-  if ok then Some plan else None
+(* Plans every operand for execution at [exec]; on failure rolls the
+   attempt back completely. *)
+let try_level st ~exec alu_cids operands =
+  Regs.new_attempt st.regs;
+  st.bumps.Log.len <- 0;
+  if List.for_all (plan_operand st ~exec) operands then true
+  else begin
+    undo_bumps st;
+    st.p_moves <- [];
+    st.p_forwards <- [];
+    List.iter (fun cid -> st.port_regs_of.(cid) <- []) alu_cids;
+    false
+  end
 
-let commit_level st ~exec ~level level_cids plan =
+let commit_level st ~exec ~level level_cids =
   let g = st.graph in
-  Obs.add c_reg_hits (List.length plan.p_regs);
-  Counter.merge ~into:st.bus plan.p_bus;
-  Counter.merge ~into:st.read_port plan.p_read;
-  Counter.merge ~into:st.bank_write plan.p_bank_write;
-  Regs.commit st.regs plan.p_regs;
-  st.rec_moves <- plan.p_moves @ st.rec_moves;
+  Obs.add c_reg_hits st.regs.Regs.log.Log.len;
+  Regs.commit st.regs ~exec;
+  st.rec_moves <- st.p_moves @ st.rec_moves;
+  st.p_moves <- [];
   List.iter
     (fun (pcid, dest) ->
       let old =
         match Hashtbl.find_opt st.forwards pcid with Some l -> l | None -> []
       in
       Hashtbl.replace st.forwards pcid (dest :: old))
-    plan.p_forwards;
+    st.p_forwards;
+  st.p_forwards <- [];
   st.exec_of_level.(level) <- exec;
-  let port_regs_tbl =
-    match plan.p_port_regs with Some tbl -> tbl | None -> assert false
-  in
   List.iter
     (fun cid ->
       let c = st.clustering.Cluster.clusters.(cid) in
@@ -692,31 +760,27 @@ let commit_level st ~exec ~level level_cids plan =
           if st.root_has_external.(cid) then begin
             let scratch = alloc_words st ~preferred_pp:pp 1 in
             let wcycle = commit_write st ~earliest:exec scratch in
-            Hashtbl.replace st.scratch_of cid scratch;
-            Hashtbl.replace st.scratch_wb_of cid wcycle;
+            st.scratch_of.(cid) <- Some scratch;
+            st.scratch_wb_of.(cid) <- wcycle;
             { Job.target = scratch; wcycle; source_store = None } :: writes
           end
           else writes
         in
-        let port_regs =
-          match Hashtbl.find_opt port_regs_tbl cid with
-          | Some l -> List.sort compare l
-          | None -> []
-        in
-        let port_imms =
-          List.filteri (fun _ _ -> true) c.Cluster.cinputs
-          |> List.mapi (fun i input -> (i, input))
-          |> List.filter_map (fun (i, input) ->
-                 match G.kind g input with
-                 | G.Const v -> Some (i, v)
-                 | _ -> None)
+        let port_regs = List.sort compare st.port_regs_of.(cid) in
+        st.port_regs_of.(cid) <- [];
+        let rec imms port = function
+          | [] -> []
+          | input :: rest -> (
+            match G.kind g input with
+            | G.Const v -> (port, v) :: imms (port + 1) rest
+            | _ -> imms (port + 1) rest)
         in
         let work =
           {
             Job.wcluster = cid;
             wpp = pp;
             port_regs;
-            port_imms;
+            port_imms = imms 0 c.Cluster.cinputs;
             micros = micros_of_cluster st c;
             writes;
             reg_dests = [];
@@ -743,13 +807,10 @@ let commit_level st ~exec ~level level_cids plan =
 
 (* ------------------------------- driver ---------------------------- *)
 
-let assign_pps st =
-  Array.iter
-    (fun level_cids ->
-      List.iteri
-        (fun position cid -> st.pp_of.(cid) <- position)
-        (alu_clusters_of_level st level_cids))
-    st.sched.Sched.levels
+let alu_clusters_of_level (clustering : Cluster.t) level_cids =
+  List.filter
+    (fun cid -> Sched.uses_alu clustering.Cluster.clusters.(cid))
+    level_cids
 
 let assign_delete_pps st =
   Array.iter
@@ -766,21 +827,73 @@ let assign_delete_pps st =
         | [] -> ())
     st.clustering.Cluster.clusters
 
-let compute_root_externals clustering g =
-  let consumers = G.consumers g in
+(* Does a cluster's root value leave the cluster (so it needs a scratch
+   word)? *)
+let compute_root_externals (clustering : Cluster.t) g =
   Array.map
     (fun (c : Cluster.cluster) ->
       match c.Cluster.root with
       | None -> false
       | Some root ->
-        let inside = Hashtbl.create 8 in
-        List.iter (fun op -> Hashtbl.replace inside op ()) c.Cluster.ops;
-        List.iter (fun stn -> Hashtbl.replace inside stn ()) c.Cluster.stores;
-        let uses =
-          match Hashtbl.find_opt consumers root with Some l -> l | None -> []
-        in
-        List.exists (fun (user, _) -> not (Hashtbl.mem inside user)) uses)
+        let external_use = ref false in
+        G.iter_consumers g root (fun user _ ->
+            if not (List.mem user c.Cluster.ops || List.mem user c.Cluster.stores)
+            then external_use := true);
+        !external_use)
     clustering.Cluster.clusters
+
+(* A fetch's value dies at the first same-cell store/delete downstream of
+   its token. Chains are linear (a token feeds one store/delete; when it
+   feeds several, the highest id continues the chain), so each chain is
+   walked once from its head, carrying the fetches still waiting for
+   their overwriter, keyed by offset. *)
+let find_overwriters st =
+  let g = st.graph in
+  let is_mutator id = match G.kind g id with G.St _ | G.Del _ -> true | _ -> false in
+  let successor = Hashtbl.create 64 in
+  G.iter_ids g (fun id -> if is_mutator id then Hashtbl.replace successor (G.input g id 0) id);
+  let waiting = Hashtbl.create 16 in
+  let rec walk token =
+    (* fetches reading this version wait for a later same-offset mutator *)
+    G.iter_consumers g token (fun user port ->
+        match G.kind g user with
+        | G.Fe _ when port = 0 ->
+          let offset = Legalize.const_offset g user in
+          let old = match Hashtbl.find_opt waiting offset with Some l -> l | None -> [] in
+          Hashtbl.replace waiting offset (user :: old)
+        | _ -> ());
+    match Hashtbl.find_opt successor token with
+    | None -> ()
+    | Some next ->
+      let offset = Legalize.const_offset g next in
+      (match Hashtbl.find_opt waiting offset with
+      | Some fes ->
+        List.iter (fun fe -> Hashtbl.replace st.overwriter_of fe next) fes;
+        Hashtbl.remove waiting offset
+      | None -> ());
+      walk next
+  in
+  G.iter_ids g (fun id ->
+      let head =
+        match G.kind g id with
+        | G.Ss_in _ -> true
+        | G.St _ | G.Del _ -> Hashtbl.find_opt successor (G.input g id 0) <> Some id
+        | _ -> false
+      in
+      if head then begin
+        Hashtbl.reset waiting;
+        walk id
+      end);
+  (* endangered lists in the order fetches were discovered *)
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.Fe _ -> (
+        match Hashtbl.find_opt st.overwriter_of id with
+        | Some m ->
+          let old = match Hashtbl.find_opt st.endangered_by m with Some l -> l | None -> [] in
+          Hashtbl.replace st.endangered_by m (id :: old)
+        | None -> ())
+      | _ -> ())
 
 let run ?(options = default_options) ~tile (sched : Sched.t) =
   Arch.validate tile;
@@ -788,6 +901,19 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
   let g = clustering.Cluster.graph in
   Legalize.check g;
   let n = Array.length clustering.Cluster.clusters in
+  let alu_levels = Array.map (alu_clusters_of_level clustering) sched.Sched.levels in
+  (* PPs: the tile's, or more when the schedule was made for a wider tile
+     (position in the level is the PP). *)
+  let pps =
+    Array.fold_left (fun acc l -> max acc (List.length l)) tile.Arch.alu_count alu_levels
+  in
+  let banks =
+    Array.fold_left
+      (fun acc (c : Cluster.cluster) -> max acc (List.length c.Cluster.cinputs))
+      tile.Arch.banks_per_pp clustering.Cluster.clusters
+  in
+  let mems = tile.Arch.memories_per_pp in
+  let cycles = Sched.level_count sched + tile.Arch.move_window + 2 in
   let st =
     {
       tile;
@@ -796,18 +922,24 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       sched;
       clustering;
       pp_of = Array.make n 0;
-      bus = Counter.create ();
-      read_port = Counter.create ();
-      write_port = Counter.create ();
-      bank_write = Counter.create ();
-      regs = Regs.create tile.Arch.regs_per_bank;
+      banks;
+      mems;
+      bus = Slots.create ~width:1 ~cycles;
+      read_port = Slots.create ~width:(pps * mems) ~cycles;
+      write_port = Slots.create ~width:(pps * mems) ~cycles;
+      bank_write = Slots.create ~width:(pps * banks) ~cycles;
+      bumps = Log.create ();
+      regs = Regs.create ~registers:(pps * banks * tile.Arch.regs_per_bank) tile.Arch.regs_per_bank;
       cell_last_write = Hashtbl.create 64;
       homes = [];
       sizes = [];
-      next_free = Hashtbl.create 16;
-      scratch_of = Hashtbl.create 16;
+      next_free = Array.make (pps * mems) 0;
+      scratch_of = Array.make n None;
+      scratch_wb_of = Array.make n (-1);
       writeback_of = Hashtbl.create 64;
-      scratch_wb_of = Hashtbl.create 16;
+      p_moves = [];
+      p_forwards = [];
+      port_regs_of = Array.make n [];
       rec_moves = [];
       rec_alu = [];
       rec_deletes = [];
@@ -815,66 +947,35 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       exec_of_level = Array.make (Sched.level_count sched) (-1);
       exec_of_cluster = Array.make n (-1);
       root_has_external = compute_root_externals clustering g;
-      consumers = G.consumers g;
-      overwriters_of = Hashtbl.create 64;
+      overwriter_of = Hashtbl.create 64;
       endangered_by = Hashtbl.create 64;
       preserve_of = Hashtbl.create 16;
       rec_copies = [];
     }
   in
-  (* A fetch's value dies at the first same-cell store/delete downstream of
-     its token (chains are linear: one token, one consuming mutator). *)
-  let token_successor =
-    let succ = Hashtbl.create 64 in
-    G.iter g (fun n ->
-        match n.G.kind with
-        | G.St _ | G.Del _ -> (
-          match Array.to_list n.G.inputs with
-          | token :: _ -> Hashtbl.replace succ token n.G.id
-          | [] -> ())
-        | _ -> ());
-    fun token -> Hashtbl.find_opt succ token
-  in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | G.Fe _ ->
-        let offset = Legalize.const_offset g n.G.id in
-        let rec down token =
-          match token_successor token with
-          | Some next ->
-            if Legalize.const_offset g next = offset then begin
-              Hashtbl.replace st.overwriters_of n.G.id [ next ];
-              let old =
-                match Hashtbl.find_opt st.endangered_by next with
-                | Some l -> l
-                | None -> []
-              in
-              Hashtbl.replace st.endangered_by next (n.G.id :: old)
-            end
-            else down next
-          | None -> ()
-        in
-        down n.G.inputs.(0)
-      | _ -> ());
-  assign_pps st;
+  find_overwriters st;
+  Array.iter (List.iteri (fun position cid -> st.pp_of.(cid) <- position)) alu_levels;
   assign_homes st;
   assign_delete_pps st;
   let prev_exec = ref (-1) in
   Array.iteri
     (fun level level_cids ->
+      let alu_cids = alu_levels.(level) in
+      let operands = level_operands st alu_cids in
       let first_try = !prev_exec + 1 in
       let rec attempt exec =
         if exec > !prev_exec + 1 + 200 then
           errorf "level %d cannot be placed (inserted more than 200 cycles)"
             level;
-        match try_level st ~exec level_cids with
-        | Some plan ->
-          commit_level st ~exec ~level level_cids plan;
+        if try_level st ~exec alu_cids operands then begin
+          commit_level st ~exec ~level level_cids;
           Obs.add c_inserted (exec - first_try);
           prev_exec := exec
-        | None ->
+        end
+        else begin
           Obs.incr c_retries;
           attempt (exec + 1)
+        end
       in
       (* The first level can execute at cycle 0 only when it needs no
          operand moves; attempts start one past the previous level. *)

@@ -5,13 +5,13 @@ exception Unmappable of string
 
 let unmappablef fmt = Format.kasprintf (fun msg -> raise (Unmappable msg)) fmt
 
+(* Reads the offset port in place: the allocator asks once per access
+   and per token-chain step, so this must not build the input list. *)
 let const_offset g node_id =
   let offset_input =
-    match (G.kind g node_id, G.inputs g node_id) with
-    | G.Fe _, [ _; offset ] | G.Del _, [ _; offset ] | G.St _, [ _; offset; _ ]
-      ->
-      offset
-    | _, _ -> unmappablef "node %d is not a statespace access" node_id
+    match G.kind g node_id with
+    | G.Fe _ | G.Del _ | G.St _ -> G.input g node_id 1
+    | _ -> unmappablef "node %d is not a statespace access" node_id
   in
   match G.kind g offset_input with
   | G.Const c ->

@@ -78,6 +78,58 @@ let compute_alap (clustering : Cluster.t) ~preds ~horizon =
 
 type priority = Mobility | Alap_first | Cid_order
 
+(* Binary min-heap of cids under a total order: the pool of clusters a
+   full level displaced, carried from level to level. *)
+module Heap = struct
+  type t = { data : int array; mutable len : int; before : int -> int -> bool }
+
+  let create n ~before = { data = Array.make (max 1 n) 0; len = 0; before }
+
+  let push h x =
+    let d = h.data in
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while
+      !i > 0
+      &&
+      let parent = (!i - 1) / 2 in
+      h.before x d.(parent)
+      && begin
+           d.(!i) <- d.(parent);
+           i := parent;
+           true
+         end
+    do
+      ()
+    done;
+    d.(!i) <- x
+
+  let top h = h.data.(0)
+
+  let pop h =
+    let d = h.data in
+    let x = d.(0) in
+    h.len <- h.len - 1;
+    let last = d.(h.len) in
+    let n = h.len in
+    let i = ref 0 in
+    let continue = ref (n > 0) in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = if l + 1 < n && h.before d.(l + 1) d.(l) then l + 1 else l in
+        if h.before d.(c) last then begin
+          d.(!i) <- d.(c);
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    if n > 0 then d.(!i) <- last;
+    x
+end
+
 let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   if alu_count <= 0 then errorf "alu_count must be positive";
   let clusters = clustering.Cluster.clusters in
@@ -87,10 +139,25 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   let horizon = Array.fold_left max 0 asap in
   let alap = compute_alap clustering ~preds ~horizon in
   let level_of = Array.make n (-1) in
-  let placed = Array.make n false in
+  (* Contended levels go to the highest-priority clusters; the paper plays
+     the critical path (least mobility) first. Ties break on cid, so the
+     order is total. *)
+  let prio =
+    match priority with
+    | Mobility -> fun cid -> alap.(cid) - asap.(cid)
+    | Alap_first -> fun cid -> alap.(cid)
+    | Cid_order -> fun _ -> 0
+  in
+  let before a b =
+    let pa = prio a and pb = prio b in
+    pa < pb || (pa = pb && a < b)
+  in
+  let compare_prio a b = if a = b then 0 else if before a b then -1 else 1 in
   (* Clusters become ready once all predecessors are placed; their earliest
-     feasible level is then fixed, so the pool is bucketed by level and
-     every cluster is touched O(1) times (plus capacity re-queues). *)
+     feasible level is then fixed, so arrivals are bucketed by level and
+     every cluster is touched O(1) times. A cluster a full level displaces
+     waits in [pool], a heap under the same order, instead of being
+     re-sorted with every later level's arrivals. *)
   let unplaced_preds = Array.make n 0 in
   Array.iteri
     (fun cid plist -> unplaced_preds.(cid) <- List.length plist)
@@ -100,12 +167,25 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
       (fun acc (src, weight) -> max acc (level_of.(src) + weight))
       0 preds.(cid)
   in
-  let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let buckets = ref (Array.make (max 1 (horizon + 1)) []) in
   let push cid lvl =
-    let old = match Hashtbl.find_opt buckets lvl with Some l -> l | None -> [] in
-    Hashtbl.replace buckets lvl (cid :: old)
+    if lvl >= Array.length !buckets then begin
+      let grown = Array.make (max (lvl + 1) (2 * Array.length !buckets)) [] in
+      Array.blit !buckets 0 grown 0 (Array.length !buckets);
+      buckets := grown
+    end;
+    !buckets.(lvl) <- cid :: !buckets.(lvl)
+  in
+  let take lvl =
+    if lvl >= Array.length !buckets then []
+    else begin
+      let l = !buckets.(lvl) in
+      !buckets.(lvl) <- [];
+      l
+    end
   in
   Array.iteri (fun cid d -> if d = 0 then push cid 0) unplaced_preds;
+  let pool = Heap.create n ~before in
   let remaining = ref n in
   let levels = ref [] in
   let level = ref 0 in
@@ -114,49 +194,60 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
       errorf "scheduler failed to place all clusters (internal error)";
     let this_level = ref [] in
     let alus_used = ref 0 in
-    (* Sweep the current bucket; placements can ready weight-0 successors
-       for this same level, which re-fills the bucket. *)
+    let place cid =
+      level_of.(cid) <- !level;
+      this_level := cid :: !this_level;
+      if uses_alu clusters.(cid) then incr alus_used;
+      decr remaining;
+      List.iter
+        (fun (dst, _) ->
+          unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
+          if unplaced_preds.(dst) = 0 then push dst (max (earliest dst) !level))
+        succs.(cid)
+    in
+    (* A ready cluster in priority order: placed, or displaced into the
+       pool when it needs an ALU and the level is full (paper Fig. 4). *)
+    let offer cid =
+      if uses_alu clusters.(cid) && !alus_used >= alu_count then
+        Heap.push pool cid
+      else place cid
+    in
+    (* Sweep the level's arrivals merged with the pool; placements can
+       ready weight-0 successors for this same level, which re-fills the
+       bucket for another sweep. Pool members all need an ALU, so once the
+       level is full the rest of the pool stays put; only the first sweep
+       draws on it, later ones see only what this level itself readied. *)
+    let first = ref true in
     let continue_sweeps = ref true in
     while !continue_sweeps do
-      let ready =
-        match Hashtbl.find_opt buckets !level with Some l -> l | None -> []
-      in
-      Hashtbl.remove buckets !level;
-      match ready with
-      | [] -> continue_sweeps := false
-      | _ ->
-        (* Contended levels go to the highest-priority clusters; the paper
-           plays the critical path (least mobility) first. *)
-        let key cid =
-          match priority with
-          | Mobility -> (alap.(cid) - asap.(cid), cid)
-          | Alap_first -> (alap.(cid), cid)
-          | Cid_order -> (0, cid)
-        in
-        let ready = List.sort (fun a b -> compare (key a) (key b)) ready in
-        List.iter
-          (fun cid ->
-            let needs_alu = uses_alu clusters.(cid) in
-            if needs_alu && !alus_used >= alu_count then begin
-              (* level full: insert a new level for it (paper Fig. 4) *)
-              Obs.incr c_displacements;
-              push cid (!level + 1)
+      match take !level with
+      | [] when not (!first && pool.Heap.len > 0) -> continue_sweeps := false
+      | arrivals ->
+        let from_pool = !first in
+        first := false;
+        let rec merge = function
+          | a :: rest as arrivals ->
+            if
+              from_pool && pool.Heap.len > 0
+              && !alus_used < alu_count
+              && before (Heap.top pool) a
+            then begin
+              place (Heap.pop pool);
+              merge arrivals
             end
             else begin
-              placed.(cid) <- true;
-              level_of.(cid) <- !level;
-              this_level := cid :: !this_level;
-              if needs_alu then incr alus_used;
-              decr remaining;
-              List.iter
-                (fun (dst, _) ->
-                  unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
-                  if unplaced_preds.(dst) = 0 then
-                    push dst (max (earliest dst) !level))
-                succs.(cid)
-            end)
-          ready
+              offer a;
+              merge rest
+            end
+          | [] ->
+            while from_pool && pool.Heap.len > 0 && !alus_used < alu_count do
+              place (Heap.pop pool)
+            done
+        in
+        merge (List.sort compare_prio arrivals)
     done;
+    (* every cluster still pooled was displaced by this level *)
+    Obs.add c_displacements pool.Heap.len;
     levels := List.rev !this_level :: !levels;
     incr level
   done;
