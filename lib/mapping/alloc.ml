@@ -207,6 +207,9 @@ type state = {
   root_has_external : bool array;
   overwriter_of : (G.id, G.id) Hashtbl.t;
       (** fetch -> first same-cell store/delete downstream of its token *)
+  version_of : (G.id, G.id) Hashtbl.t;
+      (** fetch -> last same-cell store/delete upstream of its token, or -1
+          for the initial contents; fetches on chains rooted at an [Ss_in] *)
   endangered_by : (G.id, G.id list) Hashtbl.t;
       (** store/delete -> fetches of the value it destroys *)
   preserve_of : (G.id, Job.mem_loc * int) Hashtbl.t;
@@ -405,30 +408,34 @@ let source_of st input =
         | Some wb -> wb
         | None -> max_int)
     in
-    (* Resolve which version the fetch reads by walking the token chain
-       with constant offsets. *)
+    let reads version =
+      match G.kind g version with
+      | G.St _ ->
+        let wb =
+          match Hashtbl.find_opt st.writeback_of version with
+          | Some wb -> wb
+          | None ->
+            errorf "fetch %d reads store %d that is not yet allocated" input
+              version
+        in
+        In_memory (cell, wb + 1, deadline)
+      | _ -> errorf "fetch %d reads a deleted tuple" input
+    in
+    (* Which version the fetch reads: found by the chain walk, else by
+       walking the token chain back with constant offsets. *)
     let rec walk token =
       match G.kind g token with
-      | G.St _ ->
-        if Legalize.const_offset g token = offset then
-          let wb =
-            match Hashtbl.find_opt st.writeback_of token with
-            | Some wb -> wb
-            | None ->
-              errorf "fetch %d reads store %d that is not yet allocated" input
-                token
-          in
-          In_memory (cell, wb + 1, deadline)
-        else walk (G.input g token 0)
-      | G.Del _ ->
-        if Legalize.const_offset g token = offset then
-          errorf "fetch %d reads a deleted tuple" input
-        else walk (G.input g token 0)
+      | (G.St _ | G.Del _) when Legalize.const_offset g token = offset ->
+        reads token
+      | G.St _ | G.Del _ -> walk (G.input g token 0)
       | G.Ss_in _ -> In_memory (cell, 0, deadline)
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
         errorf "malformed token chain at node %d" token
     in
-    walk (G.input g input 0))
+    match Hashtbl.find_opt st.version_of input with
+    | Some -1 -> In_memory (cell, 0, deadline)
+    | Some version -> reads version
+    | None -> walk (G.input g input 0))
   | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
     errorf "node %d cannot be a cluster operand" input
 
@@ -843,24 +850,32 @@ let compute_root_externals (clustering : Cluster.t) g =
     clustering.Cluster.clusters
 
 (* A fetch's value dies at the first same-cell store/delete downstream of
-   its token. Chains are linear (a token feeds one store/delete; when it
-   feeds several, the highest id continues the chain), so each chain is
-   walked once from its head, carrying the fetches still waiting for
-   their overwriter, keyed by offset. *)
-let find_overwriters st =
+   its token, and it reads the last same-cell one upstream. Chains are
+   linear (a token feeds one store/delete; when it feeds several, the
+   highest id continues the chain), so each chain is walked once from its
+   head, carrying the fetches still waiting for their overwriter and the
+   latest mutator, both keyed by offset. Only a chain that starts at an
+   [Ss_in] has its whole upstream in view, so only its fetches get a
+   version; the others are resolved by walking back at use. *)
+let trace_chains st =
   let g = st.graph in
-  let is_mutator id = match G.kind g id with G.St _ | G.Del _ -> true | _ -> false in
   let successor = Hashtbl.create 64 in
-  G.iter_ids g (fun id -> if is_mutator id then Hashtbl.replace successor (G.input g id 0) id);
-  let waiting = Hashtbl.create 16 in
-  let rec walk token =
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.St _ | G.Del _ -> Hashtbl.replace successor (G.input g id 0) id
+      | _ -> ());
+  let waiting = Hashtbl.create 16 and latest = Hashtbl.create 16 in
+  let rec walk ~rooted token =
     (* fetches reading this version wait for a later same-offset mutator *)
     G.iter_consumers g token (fun user port ->
         match G.kind g user with
         | G.Fe _ when port = 0 ->
           let offset = Legalize.const_offset g user in
           let old = match Hashtbl.find_opt waiting offset with Some l -> l | None -> [] in
-          Hashtbl.replace waiting offset (user :: old)
+          Hashtbl.replace waiting offset (user :: old);
+          if rooted then
+            Hashtbl.replace st.version_of user
+              (match Hashtbl.find_opt latest offset with Some m -> m | None -> -1)
         | _ -> ());
     match Hashtbl.find_opt successor token with
     | None -> ()
@@ -871,19 +886,23 @@ let find_overwriters st =
         List.iter (fun fe -> Hashtbl.replace st.overwriter_of fe next) fes;
         Hashtbl.remove waiting offset
       | None -> ());
-      walk next
+      Hashtbl.replace latest offset next;
+      walk ~rooted next
   in
   G.iter_ids g (fun id ->
       let head =
         match G.kind g id with
-        | G.Ss_in _ -> true
-        | G.St _ | G.Del _ -> Hashtbl.find_opt successor (G.input g id 0) <> Some id
-        | _ -> false
+        | G.Ss_in _ -> Some true
+        | G.St _ | G.Del _ when Hashtbl.find_opt successor (G.input g id 0) <> Some id ->
+          Some false
+        | _ -> None
       in
-      if head then begin
+      match head with
+      | Some rooted ->
         Hashtbl.reset waiting;
-        walk id
-      end);
+        Hashtbl.reset latest;
+        walk ~rooted id
+      | None -> ());
   (* endangered lists in the order fetches were discovered *)
   G.iter_ids g (fun id ->
       match G.kind g id with
@@ -948,12 +967,13 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       exec_of_cluster = Array.make n (-1);
       root_has_external = compute_root_externals clustering g;
       overwriter_of = Hashtbl.create 64;
+      version_of = Hashtbl.create 64;
       endangered_by = Hashtbl.create 64;
       preserve_of = Hashtbl.create 16;
       rec_copies = [];
     }
   in
-  find_overwriters st;
+  trace_chains st;
   Array.iter (List.iteri (fun position cid -> st.pp_of.(cid) <- position)) alu_levels;
   assign_homes st;
   assign_delete_pps st;

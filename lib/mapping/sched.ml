@@ -19,62 +19,63 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Scheduling_error msg)) fmt
 
 let uses_alu (c : Cluster.cluster) = c.Cluster.root <> None
 
-(* Adjacency arrays: the paper's linearity claim holds only when edges are
-   scanned once, not per cluster. *)
-let adjacency (clustering : Cluster.t) =
+(* Compressed adjacency: the edges of cluster [c] are [dst.(k)] /
+   [weight.(k)] for [k] in [off.(c) .. off.(c+1) - 1]. Flat int arrays,
+   scanned once each: the paper's linearity claim holds only when edges
+   are not rescanned per cluster, and pointer-chasing tuple lists make
+   even a single scan cache-bound on large graphs. *)
+type adjacency = { off : int array; dst : int array; weight : int array }
+
+let adjacency (clustering : Cluster.t) ~forward =
   let n = Array.length clustering.Cluster.clusters in
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
+  let off = Array.make (n + 1) 0 in
+  let from (e : Cluster.edge) = if forward then e.Cluster.src else e.Cluster.dst in
+  let other (e : Cluster.edge) = if forward then e.Cluster.dst else e.Cluster.src in
+  List.iter (fun e -> off.(from e + 1) <- off.(from e + 1) + 1) clustering.Cluster.edges;
+  for c = 1 to n do
+    off.(c) <- off.(c) + off.(c - 1)
+  done;
+  let m = off.(n) in
+  let dst = Array.make m 0 and weight = Array.make m 0 in
+  let fill = Array.sub off 0 n in
   List.iter
     (fun (e : Cluster.edge) ->
-      succs.(e.Cluster.src) <- (e.Cluster.dst, e.Cluster.weight) :: succs.(e.Cluster.src);
-      preds.(e.Cluster.dst) <- (e.Cluster.src, e.Cluster.weight) :: preds.(e.Cluster.dst))
+      let k = fill.(from e) in
+      fill.(from e) <- k + 1;
+      dst.(k) <- other e;
+      weight.(k) <- e.Cluster.weight)
     clustering.Cluster.edges;
-  (preds, succs)
+  { off; dst; weight }
 
-(* Longest-path levels assuming unbounded ALUs. *)
-let compute_asap (clustering : Cluster.t) ~succs =
-  let n = Array.length clustering.Cluster.clusters in
-  let asap = Array.make n 0 in
+let degree adj c = adj.off.(c + 1) - adj.off.(c)
+
+(* Kahn's algorithm over [adj] from the clusters with no incoming edge,
+   relaxing [value.(dst)] with [relax value.(c) weight] along each edge;
+   returns how many clusters it reached. *)
+let propagate adj ~n ~value ~relax =
   let indeg = Array.make n 0 in
-  Array.iter
-    (List.iter (fun (dst, _) -> indeg.(dst) <- indeg.(dst) + 1))
-    succs;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    incr processed;
-    List.iter
-      (fun (dst, weight) ->
-        asap.(dst) <- max asap.(dst) (asap.(c) + weight);
-        indeg.(dst) <- indeg.(dst) - 1;
-        if indeg.(dst) = 0 then Queue.add dst queue)
-      succs.(c)
+  Array.iter (fun d -> indeg.(d) <- indeg.(d) + 1) adj.dst;
+  let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
+  for c = 0 to n - 1 do
+    if indeg.(c) = 0 then begin
+      queue.(!tail) <- c;
+      incr tail
+    end
   done;
-  if !processed <> n then errorf "cluster graph has a cycle";
-  asap
-
-let compute_alap (clustering : Cluster.t) ~preds ~horizon =
-  let n = Array.length clustering.Cluster.clusters in
-  let alap = Array.make n horizon in
-  let outdeg = Array.make n 0 in
-  Array.iter
-    (List.iter (fun (src, _) -> outdeg.(src) <- outdeg.(src) + 1))
-    preds;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) outdeg;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    List.iter
-      (fun (src, weight) ->
-        alap.(src) <- min alap.(src) (alap.(c) - weight);
-        outdeg.(src) <- outdeg.(src) - 1;
-        if outdeg.(src) = 0 then Queue.add src queue)
-      preds.(c)
+  while !head < !tail do
+    let c = queue.(!head) in
+    incr head;
+    for k = adj.off.(c) to adj.off.(c + 1) - 1 do
+      let d = adj.dst.(k) in
+      value.(d) <- relax value.(d) value.(c) adj.weight.(k);
+      indeg.(d) <- indeg.(d) - 1;
+      if indeg.(d) = 0 then begin
+        queue.(!tail) <- d;
+        incr tail
+      end
+    done
   done;
-  alap
+  !head
 
 type priority = Mobility | Alap_first | Cid_order
 
@@ -134,10 +135,16 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   if alu_count <= 0 then errorf "alu_count must be positive";
   let clusters = clustering.Cluster.clusters in
   let n = Array.length clusters in
-  let preds, succs = adjacency clustering in
-  let asap = compute_asap clustering ~succs in
+  let succs = adjacency clustering ~forward:true in
+  let preds = adjacency clustering ~forward:false in
+  (* Longest-path levels assuming unbounded ALUs, then the latest levels
+     that keep the critical path. *)
+  let asap = Array.make n 0 in
+  if propagate succs ~n ~value:asap ~relax:(fun v from w -> max v (from + w)) <> n
+  then errorf "cluster graph has a cycle";
   let horizon = Array.fold_left max 0 asap in
-  let alap = compute_alap clustering ~preds ~horizon in
+  let alap = Array.make n horizon in
+  ignore (propagate preds ~n ~value:alap ~relax:(fun v from w -> min v (from - w)));
   let level_of = Array.make n (-1) in
   (* Contended levels go to the highest-priority clusters; the paper plays
      the critical path (least mobility) first. Ties break on cid, so the
@@ -154,37 +161,51 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
   in
   let compare_prio a b = if a = b then 0 else if before a b then -1 else 1 in
   (* Clusters become ready once all predecessors are placed; their earliest
-     feasible level is then fixed, so arrivals are bucketed by level and
-     every cluster is touched O(1) times. A cluster a full level displaces
-     waits in [pool], a heap under the same order, instead of being
-     re-sorted with every later level's arrivals. *)
-  let unplaced_preds = Array.make n 0 in
-  Array.iteri
-    (fun cid plist -> unplaced_preds.(cid) <- List.length plist)
-    preds;
+     feasible level is then fixed, so arrivals are bucketed by level (a
+     linked list per level threaded through [next]) and every cluster is
+     touched O(1) times. A cluster a full level displaces waits in [pool],
+     a heap under the same order, instead of being re-sorted with every
+     later level's arrivals. *)
+  let unplaced_preds = Array.init n (degree preds) in
   let earliest cid =
-    List.fold_left
-      (fun acc (src, weight) -> max acc (level_of.(src) + weight))
-      0 preds.(cid)
+    let e = ref 0 in
+    for k = preds.off.(cid) to preds.off.(cid + 1) - 1 do
+      e := max !e (level_of.(preds.dst.(k)) + preds.weight.(k))
+    done;
+    !e
   in
-  let buckets = ref (Array.make (max 1 (horizon + 1)) []) in
+  let bucket = ref (Array.make (horizon + 1) (-1)) in
+  let next = Array.make n (-1) in
   let push cid lvl =
-    if lvl >= Array.length !buckets then begin
-      let grown = Array.make (max (lvl + 1) (2 * Array.length !buckets)) [] in
-      Array.blit !buckets 0 grown 0 (Array.length !buckets);
-      buckets := grown
+    let len = Array.length !bucket in
+    if lvl >= len then begin
+      let grown = Array.make (max (lvl + 1) (2 * len)) (-1) in
+      Array.blit !bucket 0 grown 0 len;
+      bucket := grown
     end;
-    !buckets.(lvl) <- cid :: !buckets.(lvl)
+    next.(cid) <- !bucket.(lvl);
+    !bucket.(lvl) <- cid
   in
+  (* the arrivals of [lvl] in priority order, emptying its bucket *)
+  let arrivals = Array.make n 0 in
   let take lvl =
-    if lvl >= Array.length !buckets then []
-    else begin
-      let l = !buckets.(lvl) in
-      !buckets.(lvl) <- [];
-      l
-    end
+    let count = ref 0 in
+    if lvl < Array.length !bucket then begin
+      let c = ref !bucket.(lvl) in
+      while !c >= 0 do
+        arrivals.(!count) <- !c;
+        incr count;
+        c := next.(!c)
+      done;
+      !bucket.(lvl) <- -1
+    end;
+    let sorted = Array.sub arrivals 0 !count in
+    Array.sort compare_prio sorted;
+    sorted
   in
-  Array.iteri (fun cid d -> if d = 0 then push cid 0) unplaced_preds;
+  for cid = n - 1 downto 0 do
+    if unplaced_preds.(cid) = 0 then push cid 0
+  done;
   let pool = Heap.create n ~before in
   let remaining = ref n in
   let levels = ref [] in
@@ -199,52 +220,41 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
       this_level := cid :: !this_level;
       if uses_alu clusters.(cid) then incr alus_used;
       decr remaining;
-      List.iter
-        (fun (dst, _) ->
-          unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
-          if unplaced_preds.(dst) = 0 then push dst (max (earliest dst) !level))
-        succs.(cid)
+      for k = succs.off.(cid) to succs.off.(cid + 1) - 1 do
+        let dst = succs.dst.(k) in
+        unplaced_preds.(dst) <- unplaced_preds.(dst) - 1;
+        if unplaced_preds.(dst) = 0 then push dst (max (earliest dst) !level)
+      done
     in
-    (* A ready cluster in priority order: placed, or displaced into the
-       pool when it needs an ALU and the level is full (paper Fig. 4). *)
-    let offer cid =
-      if uses_alu clusters.(cid) && !alus_used >= alu_count then
-        Heap.push pool cid
-      else place cid
-    in
+    let room () = !alus_used < alu_count in
     (* Sweep the level's arrivals merged with the pool; placements can
        ready weight-0 successors for this same level, which re-fills the
        bucket for another sweep. Pool members all need an ALU, so once the
        level is full the rest of the pool stays put; only the first sweep
-       draws on it, later ones see only what this level itself readied. *)
+       draws on it, later ones see only what this level itself readied.
+       A ready cluster is placed, or displaced into the pool when it needs
+       an ALU and the level is full (paper Fig. 4). *)
     let first = ref true in
     let continue_sweeps = ref true in
     while !continue_sweeps do
-      match take !level with
-      | [] when not (!first && pool.Heap.len > 0) -> continue_sweeps := false
-      | arrivals ->
+      let ready = take !level in
+      if Array.length ready = 0 && not (!first && pool.Heap.len > 0) then
+        continue_sweeps := false
+      else begin
         let from_pool = !first in
         first := false;
-        let rec merge = function
-          | a :: rest as arrivals ->
-            if
-              from_pool && pool.Heap.len > 0
-              && !alus_used < alu_count
-              && before (Heap.top pool) a
-            then begin
-              place (Heap.pop pool);
-              merge arrivals
-            end
-            else begin
-              offer a;
-              merge rest
-            end
-          | [] ->
-            while from_pool && pool.Heap.len > 0 && !alus_used < alu_count do
+        Array.iter
+          (fun a ->
+            while from_pool && pool.Heap.len > 0 && room () && before (Heap.top pool) a do
               place (Heap.pop pool)
-            done
-        in
-        merge (List.sort compare_prio arrivals)
+            done;
+            if uses_alu clusters.(a) && not (room ()) then Heap.push pool a
+            else place a)
+          ready;
+        while from_pool && pool.Heap.len > 0 && room () do
+          place (Heap.pop pool)
+        done
+      end
     done;
     (* every cluster still pooled was displaced by this level *)
     Obs.add c_displacements pool.Heap.len;
@@ -252,22 +262,14 @@ let run ?(alu_count = 5) ?(priority = Mobility) (clustering : Cluster.t) =
     incr level
   done;
   (* Trim trailing empty levels. *)
-  let levels = List.rev !levels in
-  let levels =
-    let rec trim = function
-      | [] -> []
-      | [ [] ] -> []
-      | x :: rest -> (
-        match trim rest with [] when x = [] -> [] | rest -> x :: rest)
-    in
-    trim levels
-  in
+  let rec trim = function [] :: rest -> trim rest | levels -> levels in
+  let levels = Array.of_list (List.rev (trim !levels)) in
   (* record_max, not set: a parallel corpus batch must report the same
      value as a sequential one, and last-writer-wins is not
      deterministic across domains. *)
-  Obs.record_max c_levels (List.length levels);
-  Obs.add c_levels_inserted (max 0 (List.length levels - (horizon + 1)));
-  { clustering; level_of; levels = Array.of_list levels; asap; alap }
+  Obs.record_max c_levels (Array.length levels);
+  Obs.add c_levels_inserted (max 0 (Array.length levels - (horizon + 1)));
+  { clustering; level_of; levels; asap; alap }
 
 let level_count t = Array.length t.levels
 

@@ -381,6 +381,26 @@ let test_pass_steps_match_report () =
     report.Transform.Simplify.steps
     (match Obs.find_counter "pass.steps" with Some v -> v | None -> -1)
 
+(* fir-256 needs inserted cycles, and the allocator must say why: every
+   refused candidate move cycle is charged to the resource that refused
+   it. On fir-256 all four resources refuse some (the hot input array's
+   single read port most often). *)
+let test_alloc_blocked_counters () =
+  with_obs @@ fun () ->
+  let k = Fpfa_kernels.Kernels.fir ~taps:256 in
+  ignore (Fpfa_core.Flow.map_source k.Fpfa_kernels.Kernels.source);
+  let get cname =
+    match Obs.find_counter cname with
+    | Some v -> v
+    | None -> Alcotest.failf "counter %s never registered" cname
+  in
+  Alcotest.(check bool) "level retries" true (get "alloc.level_retries" > 0);
+  List.iter
+    (fun r ->
+      let cname = "alloc.blocked." ^ r in
+      Alcotest.(check bool) cname true (get cname > 0))
+    [ "bus"; "read_port"; "bank_write"; "register" ]
+
 let suite =
   [
     Alcotest.test_case "disabled mode is transparent" `Quick
@@ -395,4 +415,6 @@ let suite =
       test_counters_match_metrics;
     Alcotest.test_case "pass.steps matches simplify report" `Quick
       test_pass_steps_match_report;
+    Alcotest.test_case "allocator explains its retries on fir-256" `Quick
+      test_alloc_blocked_counters;
   ]

@@ -81,6 +81,55 @@ let test_words_per_raw_node () =
   check "Staged.of_source" frontend frontend_ceiling;
   check "Simplify.minimize" minimise minimise_ceiling
 
+(* Allocation ceilings per cluster for the mapping back-end (Sched.run,
+   Alloc.run) on fir-256 and crc8-16. The allocator used to keep its
+   per-cycle resource counts in tuple-keyed hash tables (a key built and
+   hashed on every probe), every busy interval of every register in a list
+   rebuilt per probe, and its candidate move cycles in lists rebuilt per
+   operand and attempt; the scheduler re-sorted every displaced cluster at
+   every level. Words per cluster, fir-256 / crc8-16:
+
+   {v
+                              Alloc.run      Sched.run
+   list-and-table back-end    7933 / 4181    1433 / 122
+   linear back-end             767 /  518      29 /  76
+   + tuple-keyed counters     1656 /  649
+   + interval lists           1517 / 1620
+   + candidate lists          4682 / 1801
+   + per-level re-sort                       1433 / 122
+   v}
+
+   Each of the four regressions crosses a ceiling on fir-256, and all but
+   the counters on crc8-16 too. *)
+let ceilings = [ ("fir-256", 1000.0, 100.0); ("crc8-16", 700.0, 100.0) ]
+
+let test_backend_words_per_cluster () =
+  List.iter
+    (fun (k : Kernels.t) ->
+      let _, alloc_ceiling, sched_ceiling =
+        List.find (fun (name, _, _) -> name = k.Kernels.name) ceilings
+      in
+      let r = Flow.map_source ~func:"main" k.Kernels.source in
+      let clustering = r.Flow.clustering in
+      let clusters =
+        float_of_int (Array.length clustering.Mapping.Cluster.clusters)
+      in
+      let w0 = Gc.minor_words () in
+      let sched = Mapping.Sched.run ~alu_count:5 clustering in
+      let sched_words = Gc.minor_words () -. w0 in
+      let w0 = Gc.minor_words () in
+      ignore (Mapping.Alloc.run ~tile:Fpfa_arch.Arch.paper_tile sched);
+      let alloc_words = Gc.minor_words () -. w0 in
+      let check what words ceiling =
+        let per = words /. clusters in
+        if per > ceiling then
+          Alcotest.failf "%s allocates %.0f words per cluster on %s (> %.0f)"
+            what per k.Kernels.name ceiling
+      in
+      check "Alloc.run" alloc_words alloc_ceiling;
+      check "Sched.run" sched_words sched_ceiling)
+    [ Kernels.fir ~taps:256; Kernels.crc8 ~bytes:16 ]
+
 let test_slope_fit () =
   Alcotest.(check (float 1e-9)) "exact power law" 1.5
     (loglog_slope [ (1.0, 1.0); (4.0, 8.0); (16.0, 64.0) ])
@@ -92,4 +141,6 @@ let suite =
       test_fir_family;
     Alcotest.test_case "words per raw node under ceilings on fir-256" `Quick
       test_words_per_raw_node;
+    Alcotest.test_case "back-end words per cluster under ceilings" `Quick
+      test_backend_words_per_cluster;
   ]

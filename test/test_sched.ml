@@ -105,6 +105,82 @@ let more_alus_never_hurt =
       let levels n = Sched.level_count (Sched.run ~alu_count:n clustering) in
       levels 1 >= levels 2 && levels 2 >= levels 5 && levels 5 >= levels 10)
 
+(* The list scheduler as first written: every level re-sorts all of its
+   ready clusters, displaced ones included, by (priority, cid). Sched.run
+   carries displaced clusters in a heap instead; it must place every
+   cluster on the same level and in the same order. *)
+let reference_levels ~alu_count ~key (clustering : Cluster.t) =
+  let clusters = clustering.Cluster.clusters in
+  let n = Array.length clusters in
+  let preds = Array.make n [] and succs = Array.make n [] in
+  List.iter
+    (fun (e : Cluster.edge) ->
+      preds.(e.Cluster.dst) <- (e.Cluster.src, e.Cluster.weight) :: preds.(e.Cluster.dst);
+      succs.(e.Cluster.src) <- e.Cluster.dst :: succs.(e.Cluster.src))
+    clustering.Cluster.edges;
+  let level_of = Array.make n (-1) in
+  let waiting = Array.map List.length preds in
+  let buckets = Hashtbl.create 16 in
+  let push cid lvl =
+    Hashtbl.replace buckets lvl
+      (cid :: Option.value ~default:[] (Hashtbl.find_opt buckets lvl))
+  in
+  Array.iteri (fun cid w -> if w = 0 then push cid 0) waiting;
+  let remaining = ref n and levels = ref [] and level = ref 0 in
+  while !remaining > 0 do
+    let this_level = ref [] and alus = ref 0 in
+    let rec sweep () =
+      match Option.value ~default:[] (Hashtbl.find_opt buckets !level) with
+      | [] -> ()
+      | ready ->
+        Hashtbl.remove buckets !level;
+        List.iter
+          (fun cid ->
+            let alu = Sched.uses_alu clusters.(cid) in
+            if alu && !alus >= alu_count then push cid (!level + 1)
+            else begin
+              level_of.(cid) <- !level;
+              this_level := cid :: !this_level;
+              if alu then incr alus;
+              decr remaining;
+              List.iter
+                (fun dst ->
+                  waiting.(dst) <- waiting.(dst) - 1;
+                  if waiting.(dst) = 0 then
+                    push dst
+                      (List.fold_left
+                         (fun acc (src, w) -> max acc (level_of.(src) + w))
+                         !level preds.(dst)))
+                succs.(cid)
+            end)
+          (List.sort (fun a b -> compare (key a, a) (key b, b)) ready);
+        sweep ()
+    in
+    sweep ();
+    levels := List.rev !this_level :: !levels;
+    incr level
+  done;
+  List.rev !levels
+
+let heap_pool_matches_resorting =
+  QCheck.Test.make ~name:"heap pool places like per-level re-sorting"
+    ~count:150
+    (QCheck.make
+       QCheck.Gen.(triple (int_range 0 5_000) (int_range 1 6) (int_range 0 2)))
+    (fun (seed, alu_count, p) ->
+      let g = Fpfa_kernels.Random_graph.generate ~seed ~ops:80 () in
+      let clustering = Cluster.run g in
+      let priority = [| Sched.Mobility; Sched.Alap_first; Sched.Cid_order |].(p) in
+      let sched = Sched.run ~alu_count ~priority clustering in
+      let key cid =
+        match priority with
+        | Sched.Mobility -> Sched.mobility sched cid
+        | Sched.Alap_first -> sched.Sched.alap.(cid)
+        | Sched.Cid_order -> 0
+      in
+      Array.to_list sched.Sched.levels
+      = reference_levels ~alu_count ~key clustering)
+
 let suite =
   [
     Alcotest.test_case "Fig 4(a) before" `Quick test_fig4_before;
@@ -117,4 +193,5 @@ let suite =
     Alcotest.test_case "kernel schedules" `Quick test_kernel_schedules_valid;
     QCheck_alcotest.to_alcotest schedule_is_valid;
     QCheck_alcotest.to_alcotest more_alus_never_hurt;
+    QCheck_alcotest.to_alcotest heap_pool_matches_resorting;
   ]
