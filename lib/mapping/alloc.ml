@@ -228,11 +228,12 @@ let bump st slots tag i =
 let undo_bumps st =
   for k = st.bumps.Log.len - 1 downto 0 do
     let e = st.bumps.Log.items.(k) in
-    let i = e / 3 in
-    match e mod 3 with
-    | 0 -> Slots.unbump st.bus i
-    | 1 -> Slots.unbump st.read_port i
-    | _ -> Slots.unbump st.bank_write i
+    let tag = e mod 3 in
+    Slots.unbump
+      (if tag = bus_tag then st.bus
+       else if tag = read_tag then st.read_port
+       else st.bank_write)
+      (e / 3)
   done;
   st.bumps.Log.len <- 0
 
