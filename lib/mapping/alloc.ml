@@ -120,16 +120,15 @@ module Regs = struct
 
   (* First free index of the bank whose registers start at [base] over
      [lo, exec], or -1. *)
-  let free_index t ~base ~lo =
-    let rec search index =
-      if index >= t.per_bank then -1
-      else
-        let r = base + index in
-        if t.planned.(r) = t.stamp || t.latest_end.(r) >= lo then
-          search (index + 1)
-        else index
-    in
-    search 0
+  let rec free_from t ~base ~lo index =
+    if index >= t.per_bank then -1
+    else
+      let r = base + index in
+      if t.planned.(r) = t.stamp || t.latest_end.(r) >= lo then
+        free_from t ~base ~lo (index + 1)
+      else index
+
+  let free_index t ~base ~lo = free_from t ~base ~lo 0
 
   let plan t r =
     t.planned.(r) <- t.stamp;
@@ -192,10 +191,12 @@ type state = {
   scratch_of : Job.mem_loc option array;  (* cid -> scratch cell *)
   scratch_wb_of : int array;  (* cid -> scratch commit cycle *)
   writeback_of : (G.id, int) Hashtbl.t;  (* St/Del node -> commit cycle *)
-  (* the current attempt *)
-  mutable p_moves : (int * Job.move) list;  (* (cycle, move), newest first *)
-  mutable p_forwards : (int * (int * Job.reg)) list;  (* producer cid, dest *)
-  port_regs_of : (int * Job.reg) list array;  (* cid -> planned operands *)
+  plans : Log.t;
+      (* the attempt's planned registers, three ints each: the operand's
+         position in the level (times two, plus one for a forward), the
+         cycle and the register index; job records are built from it only
+         when the level commits, so a failed attempt allocates nothing *)
+  port_regs_of : (int * Job.reg) list array;  (* cid -> committed operands *)
   (* output records *)
   mutable rec_moves : (int * Job.move) list;  (* (cycle, move) *)
   mutable rec_alu : (int * Job.alu_work) list;  (* (exec cycle, work) *)
@@ -491,17 +492,18 @@ let bank_slot st ~cycle ~pp ~port =
 
 let reg_base st ~pp ~port = ((pp * st.banks) + port) * st.tile.Arch.regs_per_bank
 
-let plan_reg st (o : operand) ~cycle index =
-  let reg = { Job.pp = o.opp; bank = o.oport; index } in
+(* Plans register [index] of operand [at] for a transfer at [cycle]. *)
+let plan_reg st (o : operand) ~at ~forward ~cycle index =
   Regs.plan st.regs (reg_base st ~pp:o.opp ~port:o.oport + index);
   bump st st.bus bus_tag (Slots.index st.bus ~cycle 0);
   bump st st.bank_write bank_tag (bank_slot st ~cycle ~pp:o.opp ~port:o.oport);
-  st.port_regs_of.(o.ocid) <- (o.oport, reg) :: st.port_regs_of.(o.ocid);
-  reg
+  Log.push st.plans ((at * 2) + if forward then 1 else 0);
+  Log.push st.plans cycle;
+  Log.push st.plans index
 
 (* Extension: the producing cluster writes straight into the consumer's
    register at its own execute cycle. *)
-let try_forward st ~exec (o : operand) =
+let try_forward st ~exec (o : operand) ~at =
   st.options.forwarding
   &&
   match G.kind st.graph o.oinput with
@@ -519,15 +521,14 @@ let try_forward st ~exec (o : operand) =
     in
     index >= 0
     && begin
-         let reg = plan_reg st o ~cycle:t_p index in
-         st.p_forwards <- (pcid, (t_p, reg)) :: st.p_forwards;
+         plan_reg st o ~at ~forward:true ~cycle:t_p index;
          true
        end
   | _ -> false
 
 (* A register move of [o] from [src] at cycle [u], if every resource on
    its path is free. *)
-let try_move_at st (o : operand) (src : Job.mem_loc) u =
+let try_move_at st (o : operand) ~at (src : Job.mem_loc) u =
   if not (bus_free st u) then begin
     Obs.incr c_blocked_bus;
     false
@@ -551,17 +552,29 @@ let try_move_at st (o : operand) (src : Job.mem_loc) u =
         Obs.incr c_blocked_reg;
         false
       | index ->
-        let reg = plan_reg st o ~cycle:u index in
+        plan_reg st o ~at ~forward:false ~cycle:u index;
         bump st st.read_port read_tag read;
-        st.p_moves <-
-          (u, { Job.src; dst = reg; carried = o.oinput; for_cluster = o.ocid })
-          :: st.p_moves;
         true
 
 (* Finds a register move for one operand of a cluster executing at [exec].
    Paper order: window steps before first, then closer. Returns false when
    no candidate cycle works. *)
-let plan_operand st ~exec (o : operand) =
+(* Plans a move of [o] at the first cycle of [u .. last] (walked up, or
+   down) inside [floor, hi] where it fits. Top-level rather than local
+   closures: a level attempt runs them for every operand. *)
+let rec ascending st o ~at src ~floor ~hi u ~last =
+  u <= last
+  && ((u >= floor && u <= hi && try_move_at st o ~at src u)
+     || ascending st o ~at src ~floor ~hi (u + 1) ~last)
+
+let rec descending st o ~at src ~floor ~hi u ~last =
+  u >= last
+  && u >= floor
+  && ((u <= hi && try_move_at st o ~at src u)
+     || descending st o ~at src ~floor ~hi (u - 1) ~last)
+
+let plan_operand st ~exec operands at =
+  let o = operands.(at) in
   let source =
     match o.osrc with
     | Unresolved ->
@@ -574,7 +587,7 @@ let plan_operand st ~exec (o : operand) =
   | Unresolved -> assert false
   | Immediate _ -> true
   | In_memory (src, avail, deadline) ->
-    try_forward st ~exec o
+    try_forward st ~exec o ~at
     ||
     let window = st.tile.Arch.move_window in
     let hi = min (exec - 1) deadline in
@@ -588,19 +601,10 @@ let plan_operand st ~exec (o : operand) =
           than the window, cycles just before the deadline.
        Each range is walked in place, at most 64 cycles deep, so allocation
        stays linear. The descending ranges stop below [floor]. *)
-    let rec in_window u =
-      u < exec
-      && ((u >= floor && u <= hi && try_move_at st o src u)
-         || in_window (u + 1))
-    in
-    let rec descending u last =
-      u >= last
-      && u >= floor
-      && ((u <= hi && try_move_at st o src u) || descending (u - 1) last)
-    in
-    in_window (exec - window)
-    || descending (exec - window - 1) (exec - window - 64)
-    || (hi < exec - window && descending hi (hi - 63))
+    ascending st o ~at src ~floor ~hi (exec - window) ~last:(exec - 1)
+    || descending st o ~at src ~floor ~hi (exec - window - 1)
+         ~last:(exec - window - 64)
+    || (hi < exec - window && descending st o ~at src ~floor ~hi hi ~last:(hi - 63))
 
 (* Copies the current word of [cell] to a fresh scratch cell before it is
    overwritten, for every fetch of the old value whose consumers sit at
@@ -698,7 +702,8 @@ let commit_delete st ~earliest cell =
 (* The level's register operands in planning order: ALU clusters in level
    order, ports in order, immediates skipped. *)
 let level_operands st alu_cids =
-  List.concat_map
+  Array.of_list
+  @@ List.concat_map
     (fun cid ->
       let c = st.clustering.Cluster.clusters.(cid) in
       let pp = st.pp_of.(cid) in
@@ -716,32 +721,46 @@ let level_operands st alu_cids =
 
 (* Plans every operand for execution at [exec]; on failure rolls the
    attempt back completely. *)
-let try_level st ~exec alu_cids operands =
+let try_level st ~exec operands =
   Regs.new_attempt st.regs;
   st.bumps.Log.len <- 0;
-  if List.for_all (plan_operand st ~exec) operands then true
-  else begin
-    undo_bumps st;
-    st.p_moves <- [];
-    st.p_forwards <- [];
-    List.iter (fun cid -> st.port_regs_of.(cid) <- []) alu_cids;
-    false
-  end
+  st.plans.Log.len <- 0;
+  let rec plan_all at =
+    at >= Array.length operands
+    || (plan_operand st ~exec operands at && plan_all (at + 1))
+  in
+  plan_all 0
+  || begin
+       undo_bumps st;
+       false
+     end
 
-let commit_level st ~exec ~level level_cids =
+let commit_level st ~exec ~level level_cids operands =
   let g = st.graph in
   Obs.add c_reg_hits st.regs.Regs.log.Log.len;
   Regs.commit st.regs ~exec;
-  st.rec_moves <- st.p_moves @ st.rec_moves;
-  st.p_moves <- [];
-  List.iter
-    (fun (pcid, dest) ->
+  (* the planned moves and forwards, in planning order *)
+  let plans = st.plans.Log.items in
+  for k = 0 to (st.plans.Log.len / 3) - 1 do
+    let code = plans.(3 * k) and cycle = plans.((3 * k) + 1) in
+    let o = operands.(code / 2) in
+    let reg = { Job.pp = o.opp; bank = o.oport; index = plans.((3 * k) + 2) } in
+    st.port_regs_of.(o.ocid) <- (o.oport, reg) :: st.port_regs_of.(o.ocid);
+    if code land 1 = 1 then begin
+      let pcid = cluster_of st o.oinput in
       let old =
         match Hashtbl.find_opt st.forwards pcid with Some l -> l | None -> []
       in
-      Hashtbl.replace st.forwards pcid (dest :: old))
-    st.p_forwards;
-  st.p_forwards <- [];
+      Hashtbl.replace st.forwards pcid ((cycle, reg) :: old)
+    end
+    else
+      match o.osrc with
+      | In_memory (src, _, _) ->
+        st.rec_moves <-
+          (cycle, { Job.src; dst = reg; carried = o.oinput; for_cluster = o.ocid })
+          :: st.rec_moves
+      | Unresolved | Immediate _ -> assert false
+  done;
   st.exec_of_level.(level) <- exec;
   List.iter
     (fun cid ->
@@ -957,8 +976,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       scratch_of = Array.make n None;
       scratch_wb_of = Array.make n (-1);
       writeback_of = Hashtbl.create 64;
-      p_moves = [];
-      p_forwards = [];
+      plans = Log.create ();
       port_regs_of = Array.make n [];
       rec_moves = [];
       rec_alu = [];
@@ -988,8 +1006,8 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
         if exec > !prev_exec + 1 + 200 then
           errorf "level %d cannot be placed (inserted more than 200 cycles)"
             level;
-        if try_level st ~exec alu_cids operands then begin
-          commit_level st ~exec ~level level_cids;
+        if try_level st ~exec operands then begin
+          commit_level st ~exec ~level level_cids operands;
           Obs.add c_inserted (exec - first_try);
           prev_exec := exec
         end
@@ -1004,12 +1022,15 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
     st.sched.Sched.levels;
   (* Patch forwards into the producing clusters' work records. *)
   let rec_alu =
-    List.map
-      (fun (cycle, work) ->
-        match Hashtbl.find_opt st.forwards work.Job.wcluster with
-        | Some dests -> (cycle, { work with Job.reg_dests = List.sort compare dests })
-        | None -> (cycle, work))
-      st.rec_alu
+    if Hashtbl.length st.forwards = 0 then st.rec_alu
+    else
+      List.map
+        (fun (cycle, work) ->
+          match Hashtbl.find_opt st.forwards work.Job.wcluster with
+          | Some dests ->
+            (cycle, { work with Job.reg_dests = List.sort compare dests })
+          | None -> (cycle, work))
+        st.rec_alu
   in
   let max_cycle =
     List.fold_left
@@ -1019,15 +1040,10 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
           (max acc cycle) work.Job.writes)
       0 rec_alu
   in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_moves
-  in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_deletes
-  in
-  let max_cycle =
-    List.fold_left (fun acc (cycle, _) -> max acc cycle) max_cycle st.rec_copies
-  in
+  let latest acc records = List.fold_left (fun acc (cycle, _) -> max acc cycle) acc records in
+  let max_cycle = latest (latest (latest max_cycle st.rec_moves) st.rec_deletes) st.rec_copies in
+  (* The records are newest first, so consing them into their cycles
+     leaves every cycle's list oldest first, in allocation order. *)
   let bucket records =
     let buckets = Array.make (max_cycle + 1) [] in
     List.iter
@@ -1038,22 +1054,16 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
   Obs.add c_moves (List.length st.rec_moves);
   Obs.add c_copies (List.length st.rec_copies);
   Obs.add c_forwards
-    (Fpfa_util.Listx.sum
-       (List.map
-          (fun ((_ : int), (w : Job.alu_work)) -> List.length w.Job.reg_dests)
-          rec_alu));
-  let move_buckets = bucket (List.rev st.rec_moves) in
-  let copy_buckets = bucket (List.rev st.rec_copies) in
-  let alu_buckets = bucket (List.rev rec_alu) in
-  let delete_buckets = bucket (List.rev st.rec_deletes) in
+    (List.fold_left
+       (fun acc ((_ : int), (w : Job.alu_work)) -> acc + List.length w.Job.reg_dests)
+       0 rec_alu);
+  let moves = bucket st.rec_moves in
+  let copies = bucket st.rec_copies in
+  let alu = bucket rec_alu in
+  let deletes = bucket st.rec_deletes in
   let cycles =
     Array.init (max_cycle + 1) (fun i ->
-        {
-          Job.moves = List.rev move_buckets.(i);
-          copies = List.rev copy_buckets.(i);
-          alu = List.rev alu_buckets.(i);
-          deletes = List.rev delete_buckets.(i);
-        })
+        { Job.moves = moves.(i); copies = copies.(i); alu = alu.(i); deletes = deletes.(i) })
   in
   {
     Job.tile;
