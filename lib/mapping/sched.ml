@@ -90,18 +90,9 @@ module Heap = struct
     let d = h.data in
     let i = ref h.len in
     h.len <- h.len + 1;
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      h.before x d.(parent)
-      && begin
-           d.(!i) <- d.(parent);
-           i := parent;
-           true
-         end
-    do
-      ()
+    while !i > 0 && h.before x d.((!i - 1) / 2) do
+      d.(!i) <- d.((!i - 1) / 2);
+      i := (!i - 1) / 2
     done;
     d.(!i) <- x
 
