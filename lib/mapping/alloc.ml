@@ -118,8 +118,8 @@ module Regs = struct
       log = Log.create ();
     }
 
-  (* First free index of the bank whose registers start at [base] over
-     [lo, exec], or -1. *)
+  (* First index at or after [index] of the bank whose registers start at
+     [base] that is free over [lo, exec], or -1. *)
   let rec free_from t ~base ~lo index =
     if index >= t.per_bank then -1
     else
