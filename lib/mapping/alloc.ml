@@ -923,7 +923,7 @@ let trace_chains st =
         Hashtbl.reset latest;
         walk ~rooted id
       | None -> ());
-  (* endangered lists in the order fetches were discovered *)
+  (* each mutator's endangered fetches, in descending id order *)
   G.iter_ids g (fun id ->
       match G.kind g id with
       | G.Fe _ -> (
