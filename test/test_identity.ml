@@ -170,9 +170,103 @@ let test_variants () =
       (fun e a -> Alcotest.(check string) "variant row" e a)
       expected rows
 
+(* Third pin: phase 1 alone, under every clustering entry point. Each
+   program's minimised graph (random DAGs are clustered as generated) is
+   clustered four ways: greedy under the paper's ALU, greedy under a wider
+   data path, Sarkar edge zeroing and unit clusters.
+
+   Rows: "<program> <clustering> <clusters> <edges> <MD5 of the cluster
+   records> <MD5 of the sorted edges> <MD5 of the sorted cluster_of
+   bindings>" (or "error <msg>" when the clustering is rejected).
+
+   To regenerate after an intended output change, run the suite with
+   FPFA_CLUSTERS_WRITE=<absolute path of test/clusters.expected>. *)
+module Cluster = Mapping.Cluster
+
+let clusters_file =
+  Filename.concat (Filename.dirname Sys.executable_name) "clusters.expected"
+
+let wide_alu =
+  { Arch.max_inputs = 6; max_depth = 3; max_ops = 4; max_multipliers = 2 }
+
+let clusterings =
+  [
+    ("greedy", fun g -> Cluster.run ~caps:Arch.paper_alu g);
+    ("greedy-wide", fun g -> Cluster.run ~caps:wide_alu g);
+    ("sarkar", fun g -> Cluster.sarkar g);
+    ("unit", Cluster.unit_clusters);
+  ]
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let clustering_row name (cname, f) g =
+  let outcome =
+    match f g with
+    | (t : Cluster.t) ->
+      let b = Buffer.create 1024 in
+      Array.iter
+        (fun (c : Cluster.cluster) ->
+          Printf.bprintf b "%d|%s|%s|%s|%s|%s\n" c.Cluster.cid (ints c.ops)
+            (match c.root with Some r -> string_of_int r | None -> "-")
+            (ints c.stores) (ints c.deletes) (ints c.cinputs))
+        t.Cluster.clusters;
+      let clusters_md5 = md5 (Buffer.contents b) in
+      let edges = List.sort compare t.Cluster.edges in
+      let b = Buffer.create 1024 in
+      List.iter
+        (fun (e : Cluster.edge) ->
+          Printf.bprintf b "%d %d %d\n" e.Cluster.src e.dst e.weight)
+        edges;
+      let edges_md5 = md5 (Buffer.contents b) in
+      let bindings =
+        List.sort compare
+          (Hashtbl.fold (fun id cid acc -> (id, cid) :: acc) t.Cluster.cluster_of [])
+      in
+      let b = Buffer.create 1024 in
+      List.iter (fun (id, cid) -> Printf.bprintf b "%d %d\n" id cid) bindings;
+      Printf.sprintf "%d %d %s %s %s"
+        (Array.length t.Cluster.clusters)
+        (List.length edges) clusters_md5 edges_md5
+        (md5 (Buffer.contents b))
+    | exception Cluster.Clustering_error msg -> "error " ^ msg
+  in
+  Printf.sprintf "%s %s %s" name cname outcome
+
+let clustered_programs () =
+  let minimised (k : Kernels.t) =
+    let r = Flow.map_source ~func:"main" k.Kernels.source in
+    (k.Kernels.name, r.Flow.clustering.Cluster.graph)
+  in
+  List.map minimised (programs ())
+  @ List.init 20 (fun i ->
+        let seed = i + 1 in
+        let ops = 30 + (15 * i) in
+        ( Printf.sprintf "random-%d-%d" seed ops,
+          Fpfa_kernels.Random_graph.generate ~seed ~ops () ))
+
+let test_clusters () =
+  let rows =
+    List.concat_map
+      (fun (name, g) -> List.map (fun c -> clustering_row name c g) clusterings)
+      (clustered_programs ())
+  in
+  match Sys.getenv_opt "FPFA_CLUSTERS_WRITE" with
+  | Some path ->
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) rows;
+    close_out oc
+  | None ->
+    let expected = read_lines clusters_file in
+    Alcotest.(check int) "row count" (List.length expected) (List.length rows);
+    List.iter2
+      (fun e a -> Alcotest.(check string) "clustering row" e a)
+      expected rows
+
 let suite =
   [
     Alcotest.test_case "outputs match the pinned table" `Quick test_table;
     Alcotest.test_case "back-end variants match the pinned table" `Quick
       test_variants;
+    Alcotest.test_case "clusterings match the pinned table" `Quick
+      test_clusters;
   ]
