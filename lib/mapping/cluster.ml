@@ -34,476 +34,903 @@ let is_mult_class g id =
   | G.Binop op -> Op.is_multiplier_class op
   | _ -> false
 
-(* Distinct external operands of a member set, in deterministic first-use
-   order (scanning members in ascending topo position, ports left to
-   right). *)
-let external_inputs g topo_pos members =
-  (* Look the topo position up once per member, not twice per comparison;
-     positions are unique, so sorting the pairs needs no id tie-break. *)
-  let member_list =
-    G.Id_set.elements members
-    |> List.map (fun id -> (Hashtbl.find topo_pos id, id))
-    |> List.sort compare |> List.map snd
-  in
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun input ->
-          if (not (G.Id_set.mem input members)) && not (Hashtbl.mem seen input)
-          then begin
-            Hashtbl.replace seen input ();
-            acc := input :: !acc
-          end)
-        (G.inputs g m))
-    member_list;
-  List.rev !acc
+(* Growable int stack. *)
+module Ints = struct
+  type t = { mutable items : int array; mutable len : int }
 
-(* Longest path within the member subgraph, counted in operations. *)
-let internal_depth g members =
-  let rec depth id =
-    if not (G.Id_set.mem id members) then 0
-    else
-      1
-      + List.fold_left (fun acc input -> max acc (depth input)) 0 (G.inputs g id)
-  in
-  G.Id_set.fold (fun id acc -> max acc (depth id)) members 0
+  let create cap = { items = Array.make (max 16 cap) 0; len = 0 }
 
-let satisfies_caps g topo_pos (caps : Arch.alu_caps) members =
-  G.Id_set.cardinal members <= caps.Arch.max_ops
-  && G.Id_set.fold
-       (fun id acc -> acc + if is_mult_class g id then 1 else 0)
-       members 0
-     <= caps.Arch.max_multipliers
-  && internal_depth g members <= caps.Arch.max_depth
-  && List.length (external_inputs g topo_pos members) <= caps.Arch.max_inputs
+  let push t x =
+    if t.len = Array.length t.items then begin
+      let grown = Array.make (2 * t.len) 0 in
+      Array.blit t.items 0 grown 0 t.len;
+      t.items <- grown
+    end;
+    t.items.(t.len) <- x;
+    t.len <- t.len + 1
+end
 
-type proto = {
-  p_ops : G.Id_set.t;
-  p_root : G.id;
-  mutable p_stores : G.id list;
-  p_deletes : G.id list;
+(* Data-path check of an explicit member set (Sarkar's merge candidates,
+   {!validate}'s clusters). Membership, counted operands and memoised
+   depths are stamp arrays indexed by node id, so one check touches only
+   the members and their operands. *)
+type probe = {
+  pg : G.t;
+  mark : int array;  (** = [stamp]: member of the set under test *)
+  seen : int array;  (** = [stamp]: operand already counted *)
+  dmark : int array;  (** = [stamp]: [dval] holds the node's depth *)
+  dval : int array;
+  members : Ints.t;
+  mutable stamp : int;
 }
+
+let new_probe g =
+  let bound = G.id_bound g in
+  {
+    pg = g;
+    mark = Array.make bound (-1);
+    seen = Array.make bound (-1);
+    dmark = Array.make bound (-1);
+    dval = Array.make bound 0;
+    members = Ints.create 16;
+    stamp = -1;
+  }
+
+let probe_begin pr =
+  pr.stamp <- pr.stamp + 1;
+  pr.members.Ints.len <- 0
+
+(* a repeated id counts once, as in a set *)
+let probe_add pr id =
+  if pr.mark.(id) <> pr.stamp then begin
+    pr.mark.(id) <- pr.stamp;
+    Ints.push pr.members id
+  end
+
+(* Longest path within the member set ending at [id], counted in
+   operations. *)
+let rec member_depth pr id =
+  let s = pr.stamp in
+  if pr.mark.(id) <> s then 0
+  else if pr.dmark.(id) = s then pr.dval.(id)
+  else begin
+    let d = ref 0 in
+    for port = 0 to G.arity_of pr.pg id - 1 do
+      let x = member_depth pr (G.input pr.pg id port) in
+      if x > !d then d := x
+    done;
+    pr.dmark.(id) <- s;
+    pr.dval.(id) <- 1 + !d;
+    1 + !d
+  end
+
+let probe_fits pr (caps : Arch.alu_caps) =
+  let g = pr.pg and s = pr.stamp in
+  let items = pr.members.Ints.items and n = pr.members.Ints.len in
+  n <= caps.Arch.max_ops
+  && begin
+       let mults = ref 0 in
+       for j = 0 to n - 1 do
+         if is_mult_class g items.(j) then incr mults
+       done;
+       !mults <= caps.Arch.max_multipliers
+     end
+  && begin
+       let depth = ref 0 in
+       for j = 0 to n - 1 do
+         let d = member_depth pr items.(j) in
+         if d > !depth then depth := d
+       done;
+       !depth <= caps.Arch.max_depth
+     end
+  &&
+  let inputs = ref 0 in
+  for j = 0 to n - 1 do
+    let m = items.(j) in
+    for port = 0 to G.arity_of g m - 1 do
+      let x = G.input g m port in
+      if pr.mark.(x) <> s && pr.seen.(x) <> s then begin
+        pr.seen.(x) <- s;
+        incr inputs
+      end
+    done
+  done;
+  !inputs <= caps.Arch.max_inputs
 
 (* Shared context of the partitioning algorithms. *)
 type ctx = {
   cg : G.t;
-  topo_pos : (G.id, int) Hashtbl.t;
-  consumers : (G.id, (G.id * int) list) Hashtbl.t;
-  named_output_ids : G.Id_set.t;
+  order : int array;  (** [order.(p)] is the node at topological position [p] *)
+  pos : int array;  (** node id -> topological position *)
+  named : Bytes.t;  (** node id -> ['\001'] when a named output *)
 }
 
 let make_ctx g =
   Legalize.check g;
-  let topo = G.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i id -> Hashtbl.replace topo_pos id i) topo;
-  {
-    cg = g;
-    topo_pos;
-    consumers = G.consumers g;
-    named_output_ids =
-      List.fold_left
-        (fun s (_, id) -> G.Id_set.add id s)
-        G.Id_set.empty (G.outputs g);
-  }
+  let bound = G.id_bound g in
+  let pos = Array.make bound (-1) in
+  let order = Array.make (G.node_count g) 0 in
+  List.iteri
+    (fun i id ->
+      order.(i) <- id;
+      pos.(id) <- i)
+    (G.topo_order g);
+  let named = Bytes.make bound '\000' in
+  List.iter (fun (_, id) -> Bytes.set named id '\001') (G.outputs g);
+  { cg = g; order; pos; named }
 
-(* Greedy data-path template partitioning (the paper's phase 1). *)
-let partition_greedy ctx caps =
+let is_named ctx id = Bytes.get ctx.named id <> '\000'
+
+(* A partition of the value operations: part [k] computes [roots.(k)],
+   [owner.(id)] is the part of value op [id] (-1 for every other node). *)
+type partition = { owner : int array; roots : int array; parts : int }
+
+(* Greedy data-path template partitioning (the paper's phase 1). Value ops
+   are visited in reverse topological order, so consumers claim their
+   producers first; a part grows by absorbing, smallest id first, an
+   unclaimed operand whose consumers are all members, until no operand
+   fits the data path.
+
+   Every non-root member has all its consumers inside the part, so no
+   member is an operand of a candidate: absorbing [p] turns exactly [p]
+   from an external operand into a member, adds [p]'s own operands, and
+   extends the longest path by one step above [p]'s deepest consumer.
+   Each cap is therefore probed incrementally, from the part's running
+   counts and the per-member path length [down] (to the root, in ops). *)
+let partition_greedy ctx (caps : Arch.alu_caps) =
   let g = ctx.cg in
-  let topo_pos = ctx.topo_pos in
-  let consumers = ctx.consumers in
-  let named_output_ids = ctx.named_output_ids in
-  let clustered : (G.id, unit) Hashtbl.t = Hashtbl.create 64 in
-  let protos : proto list ref = ref [] in
-  (* Greedy growth from roots, visiting value ops in reverse topo order so
-     consumers claim their producers first. *)
+  let bound = Array.length ctx.pos and nodes = Array.length ctx.order in
+  let owner = Array.make bound (-1) in
+  let roots = Array.make (max 1 nodes) 0 in
+  let parts = ref 0 in
+  let cap = max 1 (min caps.Arch.max_ops nodes) in
+  let members = Array.make cap 0 and cands = Array.make (3 * cap) 0 in
+  let down = Array.make bound 0 in
+  (* = part: the node is already an external operand of that part *)
+  let ext = Array.make bound (-1) in
+  (* consumer probe: every consumer a member of [probe_part], and the
+     longest [down] among them *)
+  let probe_part = ref 0 and probe_ok = ref true and probe_down = ref 0 in
+  let visit user _port =
+    if owner.(user) <> !probe_part then probe_ok := false
+    else if down.(user) > !probe_down then probe_down := down.(user)
+  in
+  (* operands of [p] not yet external to part [k], a repeated one once *)
+  let fresh_inputs k p =
+    let fresh = ref 0 in
+    for port = 0 to G.arity_of g p - 1 do
+      let x = G.input g p port in
+      if ext.(x) <> k then begin
+        let repeated = ref false in
+        for earlier = 0 to port - 1 do
+          if G.input g p earlier = x then repeated := true
+        done;
+        if not !repeated then incr fresh
+      end
+    done;
+    !fresh
+  in
+  let mark_inputs k p =
+    for port = 0 to G.arity_of g p - 1 do
+      ext.(G.input g p port) <- k
+    done
+  in
   let grow root =
-    let members = ref (G.Id_set.singleton root) in
-    Hashtbl.replace clustered root ();
-    let rec absorb () =
-      let candidates =
-        G.Id_set.fold
-          (fun m acc ->
-            List.fold_left
-              (fun acc input ->
-                if
-                  is_value_op g input
-                  && (not (Hashtbl.mem clustered input))
-                  && not (G.Id_set.mem input !members)
-                then input :: acc
-                else acc)
-              acc (G.inputs g m))
-          !members []
-        |> Fpfa_util.Listx.uniq compare
-      in
-      let absorbable p =
-        (* every consumer of p must already be a member, and p must not be
-           a named output (its value is observable outside) *)
-        (not (G.Id_set.mem p named_output_ids))
-        && (match Hashtbl.find_opt consumers p with
-           | Some uses ->
-             List.for_all (fun (c, _) -> G.Id_set.mem c !members) uses
-           | None -> true)
-        && satisfies_caps g topo_pos caps (G.Id_set.add p !members)
-      in
-      match List.find_opt absorbable candidates with
-      | Some p ->
-        members := G.Id_set.add p !members;
-        Hashtbl.replace clustered p ();
-        absorb ()
-      | None -> ()
-    in
-    absorb ();
-    protos :=
-      { p_ops = !members; p_root = root; p_stores = []; p_deletes = [] }
-      :: !protos
+    let k = !parts in
+    incr parts;
+    roots.(k) <- root;
+    owner.(root) <- k;
+    members.(0) <- root;
+    down.(root) <- 1;
+    let size = ref 1 and depth = ref 1 in
+    let mults = ref (if is_mult_class g root then 1 else 0) in
+    let inputs = ref (fresh_inputs k root) in
+    mark_inputs k root;
+    let growing = ref true in
+    while !growing && !size < caps.Arch.max_ops do
+      (* unclaimed value-op operands of the members, ascending, distinct *)
+      let n = ref 0 in
+      for j = 0 to !size - 1 do
+        let m = members.(j) in
+        for port = 0 to G.arity_of g m - 1 do
+          let x = G.input g m port in
+          if owner.(x) < 0 && is_value_op g x then begin
+            let at = ref !n in
+            while !at > 0 && cands.(!at - 1) > x do
+              decr at
+            done;
+            if !at = 0 || cands.(!at - 1) <> x then begin
+              Array.blit cands !at cands (!at + 1) (!n - !at);
+              cands.(!at) <- x;
+              incr n
+            end
+          end
+        done
+      done;
+      let chosen = ref (-1) and c = ref 0 in
+      while !chosen < 0 && !c < !n do
+        let p = cands.(!c) in
+        let p_mults = if is_mult_class g p then 1 else 0 in
+        if
+          (not (is_named ctx p))
+          && !mults + p_mults <= caps.Arch.max_multipliers
+          && !inputs - 1 + fresh_inputs k p <= caps.Arch.max_inputs
+          (* each member reads [p] on at most three ports *)
+          && G.data_use_count g p <= 3 * !size
+          && begin
+               probe_part := k;
+               probe_ok := true;
+               probe_down := 0;
+               G.iter_consumers_unordered g p visit;
+               !probe_ok
+             end
+          && max !depth (1 + !probe_down) <= caps.Arch.max_depth
+        then begin
+          chosen := p;
+          inputs := !inputs - 1 + fresh_inputs k p;
+          mark_inputs k p;
+          mults := !mults + p_mults;
+          down.(p) <- 1 + !probe_down;
+          depth := max !depth down.(p);
+          owner.(p) <- k;
+          members.(!size) <- p;
+          incr size
+        end;
+        incr c
+      done;
+      if !chosen < 0 then growing := false
+    done
   in
-  let rev_topo =
-    List.sort
-      (fun a b -> compare (Hashtbl.find topo_pos b) (Hashtbl.find topo_pos a))
-      (G.node_ids g)
-  in
-  List.iter
-    (fun id -> if is_value_op g id && not (Hashtbl.mem clustered id) then grow id)
-    rev_topo;
-  !protos
+  for i = nodes - 1 downto 0 do
+    let id = ctx.order.(i) in
+    if owner.(id) < 0 && is_value_op g id then grow id
+  done;
+  { owner; roots; parts = !parts }
 
 (* Sarkar-style edge zeroing: start from unit clusters and merge along data
    edges (in deterministic topological edge order) whenever the fused
    cluster still fits the ALU data path and keeps a single result. In the
    one-cycle-per-cluster model a legal merge never lengthens the critical
-   path, so Sarkar's completion-time guard reduces to the cap check. *)
-let partition_sarkar ctx caps =
-  let g = ctx.cg in
-  let topo_pos = ctx.topo_pos in
-  let find_pos id = Hashtbl.find topo_pos id in
-  let cluster_ref : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
-  let members_of : (G.id, G.Id_set.t) Hashtbl.t = Hashtbl.create 64 in
-  let roots : (G.id, G.id) Hashtbl.t = Hashtbl.create 64 in
-  let value_ops = List.filter (is_value_op g) (G.node_ids g) in
-  List.iter
-    (fun id ->
-      Hashtbl.replace cluster_ref id id;
-      Hashtbl.replace members_of id (G.Id_set.singleton id);
-      Hashtbl.replace roots id id)
-    value_ops;
+   path, so Sarkar's completion-time guard reduces to the cap check.
+
+   Parts are union-find sets whose representative is the part's root (a
+   merge links the producer's part under the consumer's), with member
+   lists threaded through [next] and concatenated in O(1). The edges
+   (producer, consumer) are enumerated by producer in topological order,
+   each producer's consumers in topological order, from one counting pass:
+   the order the merges must happen in, without a sort. *)
+let partition_sarkar ctx (caps : Arch.alu_caps) =
+  let g = ctx.cg and order = ctx.order in
+  let bound = Array.length ctx.pos and nodes = Array.length order in
+  let parent = Array.make bound (-1) in
+  let size = Array.make bound 0 in
+  let next = Array.make bound (-1) and last = Array.make bound 0 in
+  for i = 0 to nodes - 1 do
+    let id = order.(i) in
+    if is_value_op g id then begin
+      parent.(id) <- id;
+      size.(id) <- 1;
+      last.(id) <- id
+    end
+  done;
   let rec find id =
-    let parent = Hashtbl.find cluster_ref id in
-    if parent = id then id
+    let p = parent.(id) in
+    if p = id then id
     else begin
-      let root = find parent in
-      Hashtbl.replace cluster_ref id root;
-      root
+      let r = find p in
+      parent.(id) <- r;
+      r
     end
   in
-  let edges =
-    List.concat_map
-      (fun v ->
-        match Hashtbl.find_opt ctx.consumers v with
-        | Some uses ->
-          List.filter_map
-            (fun (u, _) -> if is_value_op g u then Some (v, u) else None)
-            uses
-        | None -> [])
-      value_ops
-    |> Fpfa_util.Listx.uniq compare
-    |> List.sort (fun (v1, u1) (v2, u2) ->
-           compare (find_pos v1, find_pos u1) (find_pos v2, find_pos u2))
+  (* [iter_producers u f]: [f v] for each distinct value-op operand [v] *)
+  let iter_producers u f =
+    let a = G.arity_of g u in
+    for port = 0 to a - 1 do
+      let v = G.input g u port in
+      if is_value_op g v then begin
+        let repeated = ref false in
+        for earlier = 0 to port - 1 do
+          if G.input g u earlier = v then repeated := true
+        done;
+        if not !repeated then f v
+      end
+    done
   in
-  List.iter
-    (fun (v, u) ->
-      let cv = find v and cu = find u in
-      if cv <> cu then begin
-        let mv = Hashtbl.find members_of cv and mu = Hashtbl.find members_of cu in
-        let producer_root = Hashtbl.find roots cv in
-        let external_ok =
-          (not (G.Id_set.mem producer_root ctx.named_output_ids))
-          && (match Hashtbl.find_opt ctx.consumers producer_root with
-             | Some uses ->
-               List.for_all
-                 (fun (user, _) -> G.Id_set.mem user mu || G.Id_set.mem user mv)
-                 uses
-             | None -> true)
-        in
-        let merged = G.Id_set.union mv mu in
-        if external_ok && satisfies_caps g topo_pos caps merged then begin
-          Hashtbl.replace cluster_ref cv cu;
-          Hashtbl.replace members_of cu merged;
-          Hashtbl.replace roots cu (Hashtbl.find roots cu)
-        end
-      end)
-    edges;
-  let reps = Fpfa_util.Listx.uniq compare (List.map find value_ops) in
-  List.map
-    (fun rep ->
-      {
-        p_ops = Hashtbl.find members_of rep;
-        p_root = Hashtbl.find roots rep;
-        p_stores = [];
-        p_deletes = [];
-      })
-    reps
+  let start = Array.make (bound + 1) 0 in
+  let count v = start.(v + 1) <- start.(v + 1) + 1 in
+  for i = 0 to nodes - 1 do
+    let u = order.(i) in
+    if is_value_op g u then iter_producers u count
+  done;
+  for v = 0 to bound - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  let fill = Array.sub start 0 bound in
+  let consumer = Array.make (max 1 start.(bound)) 0 in
+  let u_cur = ref 0 in
+  let place v =
+    consumer.(fill.(v)) <- !u_cur;
+    fill.(v) <- fill.(v) + 1
+  in
+  for i = 0 to nodes - 1 do
+    let u = order.(i) in
+    if is_value_op g u then begin
+      u_cur := u;
+      iter_producers u place
+    end
+  done;
+  let pr = new_probe g in
+  let rec add_part m =
+    if m >= 0 then begin
+      probe_add pr m;
+      add_part next.(m)
+    end
+  in
+  let within_a = ref 0 and within_b = ref 0 and within_ok = ref true in
+  let visit user _port =
+    if
+      parent.(user) < 0
+      ||
+      let r = find user in
+      r <> !within_a && r <> !within_b
+    then within_ok := false
+  in
+  let try_merge v u =
+    let cv = find v and cu = find u in
+    if cv <> cu then begin
+      let n = size.(cv) + size.(cu) in
+      if
+        n <= caps.Arch.max_ops
+        && (not (is_named ctx cv))
+        (* each member reads [cv] on at most three ports *)
+        && G.data_use_count g cv <= 3 * n
+        && begin
+             within_a := cv;
+             within_b := cu;
+             within_ok := true;
+             G.iter_consumers_unordered g cv visit;
+             !within_ok
+           end
+        && begin
+             probe_begin pr;
+             add_part cv;
+             add_part cu;
+             probe_fits pr caps
+           end
+      then begin
+        parent.(cv) <- cu;
+        size.(cu) <- n;
+        next.(last.(cu)) <- cv;
+        last.(cu) <- last.(cv)
+      end
+    end
+  in
+  for i = 0 to nodes - 1 do
+    let v = order.(i) in
+    for j = start.(v) to start.(v + 1) - 1 do
+      try_merge v consumer.(j)
+    done
+  done;
+  let owner = Array.make bound (-1) and roots = Array.make (max 1 nodes) 0 in
+  let parts = ref 0 in
+  for id = 0 to bound - 1 do
+    if parent.(id) = id then begin
+      owner.(id) <- !parts;
+      roots.(!parts) <- id;
+      incr parts
+    end
+  done;
+  for id = 0 to bound - 1 do
+    if parent.(id) >= 0 then owner.(id) <- owner.(find id)
+  done;
+  { owner; roots; parts = !parts }
 
-(* Attaches stores/deletes, numbers clusters and derives dependence edges
-   from a value-op partition. *)
-let rec assemble ctx ~detached value_protos =
-  let g = ctx.cg in
-  let topo_pos = ctx.topo_pos in
-  let consumers = ctx.consumers in
-  List.iter (fun p -> p.p_stores <- []) value_protos;
-  let protos : proto list ref = ref value_protos in
-  (* Attach stores: a store joins the cluster producing its value; a store
-     of a constant or fetched value gets a pass-through cluster (shared per
-     source). *)
-  let proto_of_op : (G.id, proto) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun p -> G.Id_set.iter (fun id -> Hashtbl.replace proto_of_op id p) p.p_ops)
-    !protos;
-  (* One store per cluster. A second store of the same value must not join
-     the producing cluster: two multi-store clusters can hold interleaved
-     positions of one token chain and deadlock the level schedule. The
-     extra stores become pass-through clusters that re-emit the value. *)
-  let attach_store st value =
-    let fresh_passthrough () =
-      let p =
-        { p_ops = G.Id_set.empty; p_root = value; p_stores = [ st ];
-          p_deletes = [] }
-      in
-      protos := p :: !protos
-    in
-    if G.Id_set.mem st detached then fresh_passthrough ()
-    else
-      match Hashtbl.find_opt proto_of_op value with
-      | Some p ->
-        if p.p_root <> value then
-          errorf "store %d reads interior node %d of a cluster" st value;
-        if p.p_stores = [] then p.p_stores <- [ st ] else fresh_passthrough ()
-      | None -> fresh_passthrough ()
+(* Token chains. In a legal graph a token feeds at most one store/delete;
+   when it feeds several, the highest id continues the chain and the
+   others head chains of their own. Each chain is walked once from its
+   head, carrying per offset the latest store/delete seen and the fetches
+   still waiting for a later same-offset one. That gives every fetch its
+   overwriter, and every fetch, store and delete on a chain that starts at
+   an [Ss_in] the version it interacts with: the first same-offset
+   store/delete upstream of its token. *)
+type chains = {
+  version : int array;
+      (** Fe/St/Del -> that store/delete; -1 for the region's initial
+          contents; -2 when unresolved (resolved by a walk back at use) *)
+  overwriter : int array;
+      (** Fe -> first same-offset store/delete downstream; -1 for none *)
+}
+
+let trace_chains g =
+  let bound = G.id_bound g in
+  let succ = Array.make bound (-1) in
+  let max_offset = ref 0 in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.St _ | G.Del _ ->
+        succ.(G.input g id 0) <- id;
+        max_offset := max !max_offset (Legalize.const_offset g id)
+      | G.Fe _ -> max_offset := max !max_offset (Legalize.const_offset g id)
+      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ ->
+        ());
+  let cells = !max_offset + 1 in
+  (* per offset, valid while its stamp is the current chain's *)
+  let latest = Array.make cells (-1) and latest_chain = Array.make cells (-1) in
+  let waiting = Array.make cells (-1) and waiting_chain = Array.make cells (-1) in
+  let next_waiting = Array.make bound (-1) in
+  let version = Array.make bound (-2) and overwriter = Array.make bound (-1) in
+  let chain = ref (-1) and rooted = ref false in
+  let lookup offset =
+    if latest_chain.(offset) = !chain then latest.(offset)
+    else if !rooted then -1
+    else -2
   in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | G.St _ -> attach_store n.G.id n.G.inputs.(2)
-      | G.Del _ ->
-        protos :=
-          { p_ops = G.Id_set.empty; p_root = n.G.id; p_stores = [];
-            p_deletes = [ n.G.id ] }
-          :: !protos
+  let visit user port =
+    match G.kind g user with
+    | G.Fe _ when port = 0 ->
+      let offset = Legalize.const_offset g user in
+      version.(user) <- lookup offset;
+      next_waiting.(user) <-
+        (if waiting_chain.(offset) = !chain then waiting.(offset) else -1);
+      waiting.(offset) <- user;
+      waiting_chain.(offset) <- !chain
+    | _ -> ()
+  in
+  let set_latest node =
+    let offset = Legalize.const_offset g node in
+    latest.(offset) <- node;
+    latest_chain.(offset) <- !chain
+  in
+  let rec walk token =
+    G.iter_consumers_unordered g token visit;
+    let node = succ.(token) in
+    if node >= 0 then begin
+      let offset = Legalize.const_offset g node in
+      version.(node) <- lookup offset;
+      if waiting_chain.(offset) = !chain then begin
+        let fe = ref waiting.(offset) in
+        while !fe >= 0 do
+          overwriter.(!fe) <- node;
+          fe := next_waiting.(!fe)
+        done;
+        waiting_chain.(offset) <- -1
+      end;
+      set_latest node;
+      walk node
+    end
+  in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.Ss_in _ ->
+        incr chain;
+        rooted := true;
+        walk id
+      | (G.St _ | G.Del _) when succ.(G.input g id 0) <> id ->
+        (* its version lies on another chain: left unresolved *)
+        incr chain;
+        rooted := false;
+        set_latest id;
+        walk id
+      | G.St _ | G.Del _ | G.Const _ | G.Binop _ | G.Unop _ | G.Mux
+      | G.Ss_out _ | G.Fe _ ->
+        ());
+  { version; overwriter }
+
+(* The first store/delete touching [offset] at or upstream of [token].
+   Stores to other cells of the region are temporally independent: their
+   write-backs are ordered per cell by the allocator, so they impose no
+   level constraint. *)
+let rec walk_version g token offset =
+  match G.kind g token with
+  | G.St _ | G.Del _ ->
+    if Legalize.const_offset g token = offset then token
+    else walk_version g (G.input g token 0) offset
+  | G.Ss_in _ -> -1
+  | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
+    errorf "node %d is not a token producer" token
+
+let version_of g ch access =
+  match ch.version.(access) with
+  | -2 -> walk_version g (G.input g access 0) (Legalize.const_offset g access)
+  | v -> v
+
+(* Kahn's algorithm over compressed adjacency: the successors of [c] are
+   [succ.(start.(c))] to [succ.(start.(c + 1) - 1)], and [indeg] holds the
+   in-degrees on entry. Returns how many of the [n] nodes it ordered; the
+   others, on or behind a cycle, are left with a positive [indeg]. *)
+let kahn ~n ~start ~succ ~indeg ~queue =
+  let tail = ref 0 in
+  for c = 0 to n - 1 do
+    if indeg.(c) = 0 then begin
+      queue.(!tail) <- c;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let c = queue.(!head) in
+    incr head;
+    for j = start.(c) to start.(c + 1) - 1 do
+      let d = succ.(j) in
+      indeg.(d) <- indeg.(d) - 1;
+      if indeg.(d) = 0 then begin
+        queue.(!tail) <- d;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+(* Per part: its ops in topological order, the position of the first, and
+   its distinct external operands in first-use order (members by
+   topological position, ports left to right). *)
+type layout = {
+  part_ops : G.id list array;
+  part_first : int array;
+  part_inputs : G.id list array;
+  op_count : int;
+}
+
+let layout ctx (part : partition) =
+  let g = ctx.cg and owner = part.owner and nv = part.parts in
+  let ops = Array.make nv [] and first = Array.make nv 0 in
+  let n_ops = ref 0 in
+  for i = Array.length ctx.order - 1 downto 0 do
+    let id = ctx.order.(i) in
+    let k = owner.(id) in
+    if k >= 0 then begin
+      ops.(k) <- id :: ops.(k);
+      first.(k) <- i;
+      incr n_ops
+    end
+  done;
+  let cinputs = Array.make nv [] in
+  let seen = Array.make (Array.length owner) (-1) in
+  let operands = Ints.create 16 in
+  let rec scan k = function
+    | [] -> ()
+    | m :: rest ->
+      for port = 0 to G.arity_of g m - 1 do
+        let x = G.input g m port in
+        if owner.(x) <> k && seen.(x) <> k then begin
+          seen.(x) <- k;
+          Ints.push operands x
+        end
+      done;
+      scan k rest
+  in
+  for k = 0 to nv - 1 do
+    operands.Ints.len <- 0;
+    scan k ops.(k);
+    let l = ref [] in
+    for j = operands.Ints.len - 1 downto 0 do
+      l := operands.Ints.items.(j) :: !l
+    done;
+    cinputs.(k) <- !l
+  done;
+  { part_ops = ops; part_first = first; part_inputs = cinputs; op_count = !n_ops }
+
+(* Attaches stores/deletes to a value-op partition, numbers the clusters
+   and derives their dependence edges. Protos (clusters before numbering)
+   [0, parts) are the partition's parts; the others are pass-through or
+   delete clusters, in the order they are created. Every table is an
+   array indexed by node, proto or cluster id, allocated once and reused
+   when a cycle forces another round. *)
+let assemble ctx (part : partition) =
+  let g = ctx.cg and pos = ctx.pos in
+  let bound = Array.length pos and nodes = Array.length ctx.order in
+  let owner = part.owner and nv = part.parts in
+  let lay = layout ctx part in
+  let mutators = Ints.create 64 in
+  G.iter_ids g (fun id ->
+      match G.kind g id with
+      | G.St _ | G.Del _ -> Ints.push mutators id
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
       | G.Fe _ ->
         ());
-  (* Deterministic numbering: by minimum topo position over all attached
-     nodes. *)
-  let position p =
-    let nodes =
-      G.Id_set.elements p.p_ops @ p.p_stores @ p.p_deletes
-      @ (if G.Id_set.is_empty p.p_ops then [ p.p_root ] else [])
-    in
-    List.fold_left
-      (fun acc id ->
-        match Hashtbl.find_opt topo_pos id with
-        | Some pos -> min acc pos
-        | None -> acc)
-      max_int nodes
+  let n_mut = mutators.Ints.len in
+  let cap = max 1 (nv + n_mut) in
+  let p_root = Array.make cap 0 in
+  Array.blit part.roots 0 p_root 0 nv;
+  let p_store = Array.make cap (-1) and p_del = Array.make cap (-1) in
+  let mut_proto = Array.make (max 1 n_mut) 0 in
+  let detached = Bytes.make bound '\000' in
+  let ch = trace_chains g in
+  let head = Array.make (max 1 nodes) (-1) and link = Array.make cap (-1) in
+  let cid_of = Array.make cap 0 and proto_at = Array.make cap 0 in
+  let cid_node = Array.make bound (-1) in
+  (* Attach stores: a store joins the cluster producing its value; a store
+     of a constant or fetched value gets a pass-through cluster. One store
+     per cluster: a second store of the same value must not join the
+     producing cluster, since two multi-store clusters can hold interleaved
+     positions of one token chain and deadlock the level schedule. The
+     extra stores become pass-through clusters that re-emit the value.
+     Deletes become memory-only clusters. Returns the number of protos. *)
+  let protos = ref 0 in
+  let extra j root =
+    let p = !protos in
+    incr protos;
+    p_root.(p) <- root;
+    p_store.(p) <- -1;
+    p_del.(p) <- -1;
+    mut_proto.(j) <- p;
+    p
   in
-  let ordered = List.sort (fun a b -> compare (position a) (position b)) !protos in
-  let clusters =
-    Array.of_list
-      (List.mapi
-         (fun cid p ->
-           let ops =
-             List.sort
-               (fun a b ->
-                 compare (Hashtbl.find topo_pos a) (Hashtbl.find topo_pos b))
-               (G.Id_set.elements p.p_ops)
-           in
-           let root =
-             if p.p_deletes <> [] && G.Id_set.is_empty p.p_ops then None
-             else Some p.p_root
-           in
-           let cinputs =
-             if ops <> [] then
-               external_inputs g topo_pos
-                 (List.fold_left
-                    (fun s id -> G.Id_set.add id s)
-                    G.Id_set.empty ops)
-             else match root with Some v -> [ v ] | None -> []
-           in
-           {
-             cid;
-             ops;
-             root;
-             stores = List.sort compare p.p_stores;
-             deletes = List.sort compare p.p_deletes;
-             cinputs;
-           })
-         ordered)
+  let attach () =
+    Array.fill p_store 0 nv (-1);
+    protos := nv;
+    for j = 0 to n_mut - 1 do
+      let n = mutators.Ints.items.(j) in
+      match G.kind g n with
+      | G.St _ ->
+        let value = G.input g n 2 in
+        let k = if Bytes.get detached n = '\000' then owner.(value) else -1 in
+        if k >= 0 && part.roots.(k) <> value then
+          errorf "store %d reads interior node %d of a cluster" n value
+        else if k >= 0 && p_store.(k) < 0 then begin
+          p_store.(k) <- n;
+          mut_proto.(j) <- k
+        end
+        else p_store.(extra j value) <- n
+      | _ -> p_del.(extra j n) <- n
+    done;
+    !protos
   in
-  let cluster_of = Hashtbl.create 64 in
-  Array.iter
-    (fun c ->
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.ops;
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.stores;
-      List.iter (fun id -> Hashtbl.replace cluster_of id c.cid) c.deletes)
-    clusters;
-  (* Dependency edges. *)
-  let edge_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let add_edge src dst weight =
-    if src <> dst then
-      let key = (src, dst) in
-      match Hashtbl.find_opt edge_tbl key with
-      | Some w when w >= weight -> ()
-      | Some _ | None -> Hashtbl.replace edge_tbl key weight
-  in
-  (* Anti-dependence (weight-0) edges are a scheduling preference, not a
-     hard dataflow constraint: when the reader also consumes the
-     overwriting cluster's value, the preference would create a cycle. The
-     allocator then guarantees read-before-overwrite with a move deadline
-     instead, so such edges are simply skipped. *)
-  let soft_candidates : (int * int) list ref = ref [] in
-  let add_soft_edge src dst =
-    if src <> dst then soft_candidates := (src, dst) :: !soft_candidates
-  in
-  let flush_soft_edges () =
-    (* adjacency snapshot of the hard edges, extended as soft edges land *)
-    let succ : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    let link src dst =
-      let old = match Hashtbl.find_opt succ src with Some l -> l | None -> [] in
-      Hashtbl.replace succ src (dst :: old)
-    in
-    Hashtbl.iter (fun (src, dst) _ -> link src dst) edge_tbl;
-    let reaches start goal =
-      let visited = Hashtbl.create 16 in
-      let rec walk node =
-        node = goal
-        || (not (Hashtbl.mem visited node))
-           && begin
-                Hashtbl.replace visited node ();
-                List.exists walk
-                  (match Hashtbl.find_opt succ node with
-                  | Some l -> l
-                  | None -> [])
-              end
+  (* Deterministic numbering: by minimum topological position over all
+     attached nodes, ties in list order [pass-through and delete clusters,
+     newest first; parts]. Protos are pushed in ascending index onto the
+     front of per-position buckets, which yields exactly that order. *)
+  let number np =
+    Array.fill head 0 nodes (-1);
+    for p = 0 to np - 1 do
+      let b =
+        if p_del.(p) >= 0 then pos.(p_del.(p))
+        else
+          let at = if p < nv then lay.part_first.(p) else pos.(p_root.(p)) in
+          if p_store.(p) >= 0 then min at pos.(p_store.(p)) else at
       in
-      walk start
-    in
-    List.iter
-      (fun (src, dst) ->
-        if (not (Hashtbl.mem edge_tbl (src, dst))) && not (reaches dst src)
-        then begin
-          add_edge src dst 0;
-          link src dst
-        end)
-      (List.rev !soft_candidates)
+      link.(p) <- head.(b);
+      head.(b) <- p
+    done;
+    let c = ref 0 in
+    for b = 0 to nodes - 1 do
+      let p = ref head.(b) in
+      while !p >= 0 do
+        cid_of.(!p) <- !c;
+        proto_at.(!c) <- !p;
+        incr c;
+        p := link.(!p)
+      done
+    done;
+    for id = 0 to bound - 1 do
+      let k = owner.(id) in
+      if k >= 0 then cid_node.(id) <- cid_of.(k)
+    done;
+    for j = 0 to n_mut - 1 do
+      cid_node.(mutators.Ints.items.(j)) <- cid_of.(mut_proto.(j))
+    done
   in
-  let cluster_of_value v dst_cid =
-    (* the cluster producing value v, if any (Fe/Const produce none) *)
-    match Hashtbl.find_opt cluster_of v with
-    | Some cid -> Some cid
-    | None ->
-      (* v may be a pass-through root handled by its own cluster, but
-         pass-through roots are Fe/Const sources, not producers *)
-      ignore dst_cid;
-      None
+  (* Hard (weight-1) edges, grouped by destination and deduplicated with a
+     stamp: operands after their producers, fetches and stores/deletes
+     after the version of their cell. *)
+  let hard = Ints.create (2 * cap) and hard_start = Array.make (cap + 1) 0 in
+  let stamp = Array.make cap (-1) in
+  let add_hard dst src =
+    if src <> dst && stamp.(src) <> dst then begin
+      stamp.(src) <- dst;
+      Ints.push hard src
+    end
   in
-  (* Walks a token chain towards Ss_in and links [dst_cid] after the
-     cluster of the first store/delete touching [offset] (the version the
-     access interacts with). Stores to other cells of the region are
-     temporally independent: their write-backs are ordered per cell by the
-     allocator, so they impose no level constraint. *)
-  let version_edge token ~offset dst_cid =
-    let rec walk token =
-      match G.kind g token with
-      | G.St _ | G.Del _ ->
-        if Legalize.const_offset g token = offset then
-          match Hashtbl.find_opt cluster_of token with
-          | Some src -> add_edge src dst_cid 1
-          | None -> errorf "unclustered store/delete %d" token
-        else walk (List.nth (G.inputs g token) 0)
-      | G.Ss_in _ -> ()
-      | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
-        errorf "node %d is not a token producer" token
-    in
-    walk token
+  let version_edge dst access =
+    let v = version_of g ch access in
+    if v >= 0 then begin
+      let src = cid_node.(v) in
+      if src < 0 then errorf "unclustered store/delete %d" v;
+      add_hard dst src
+    end
   in
-  let input_edges dst_cid input =
+  let input_edge dst input =
     match G.kind g input with
-    | G.Binop _ | G.Unop _ | G.Mux -> (
-      match cluster_of_value input dst_cid with
-      | Some src -> add_edge src dst_cid 1
-      | None -> errorf "unclustered value op %d" input)
-    | G.Fe _ ->
-      version_edge
-        (List.nth (G.inputs g input) 0)
-        ~offset:(Legalize.const_offset g input) dst_cid
+    | G.Binop _ | G.Unop _ | G.Mux ->
+      let src = cid_node.(input) in
+      if src < 0 then errorf "unclustered value op %d" input;
+      add_hard dst src
+    | G.Fe _ -> version_edge dst input
     | G.Const _ -> ()
     | G.Ss_in _ | G.Ss_out _ | G.St _ | G.Del _ ->
       errorf "node %d cannot be a cluster operand" input
   in
-  Array.iter
-    (fun c ->
-      List.iter (input_edges c.cid) c.cinputs;
-      let mutation_edges node =
-        match G.inputs g node with
-        | token :: _ ->
-          version_edge token ~offset:(Legalize.const_offset g node) c.cid
-        | [] -> ()
-      in
-      List.iter mutation_edges c.stores;
-      List.iter mutation_edges c.deletes)
-    clusters;
+  let rec input_edges dst = function
+    | [] -> ()
+    | x :: rest ->
+      input_edge dst x;
+      input_edges dst rest
+  in
+  let hard_edges np =
+    hard.Ints.len <- 0;
+    Array.fill stamp 0 np (-1);
+    for dst = 0 to np - 1 do
+      hard_start.(dst) <- hard.Ints.len;
+      let p = proto_at.(dst) in
+      if p < nv then input_edges dst lay.part_inputs.(p)
+      else if p_del.(p) < 0 then input_edge dst p_root.(p);
+      if p_store.(p) >= 0 then version_edge dst p_store.(p);
+      if p_del.(p) >= 0 then version_edge dst p_del.(p)
+    done;
+    hard_start.(np) <- hard.Ints.len
+  in
+  (* accepted soft (weight-0) edges, threaded by source and by destination *)
+  let soft_src = Ints.create 16 and soft_dst = Ints.create 16 in
+  let soft_next_out = Ints.create 16 and soft_next_in = Ints.create 16 in
+  let soft_out = Array.make cap (-1) and soft_in = Array.make cap (-1) in
+  (* Edges by source in ascending destination order, deduplicated with
+     weight 1 winning: built from the per-destination lists, hard and soft,
+     by one counting pass and one placing pass. *)
+  let edge_start = Array.make (cap + 1) 0 in
+  let edge_dst = Ints.create (2 * cap) and edge_weight = Ints.create (2 * cap) in
+  let indeg = Array.make cap 0 and queue = Array.make cap 0 in
+  let each_edge np f =
+    Array.fill stamp 0 np (-1);
+    for dst = 0 to np - 1 do
+      for j = hard_start.(dst) to hard_start.(dst + 1) - 1 do
+        let s = hard.Ints.items.(j) in
+        stamp.(s) <- dst;
+        f s dst 1
+      done;
+      let e = ref soft_in.(dst) in
+      while !e >= 0 do
+        let s = soft_src.Ints.items.(!e) in
+        if stamp.(s) <> dst then begin
+          stamp.(s) <- dst;
+          f s dst 0
+        end;
+        e := soft_next_in.Ints.items.(!e)
+      done
+    done
+  in
+  let source_major np =
+    Array.fill edge_start 0 (np + 1) 0;
+    each_edge np (fun s _ _ -> edge_start.(s + 1) <- edge_start.(s + 1) + 1);
+    for s = 0 to np - 1 do
+      edge_start.(s + 1) <- edge_start.(s + 1) + edge_start.(s)
+    done;
+    edge_dst.Ints.len <- 0;
+    edge_weight.Ints.len <- 0;
+    for _ = 1 to edge_start.(np) do
+      Ints.push edge_dst 0;
+      Ints.push edge_weight 0
+    done;
+    let fill = indeg in
+    Array.blit edge_start 0 fill 0 np;
+    each_edge np (fun s dst w ->
+        edge_dst.Ints.items.(fill.(s)) <- dst;
+        edge_weight.Ints.items.(fill.(s)) <- w;
+        fill.(s) <- fill.(s) + 1)
+  in
+  (* Resumable depth-first search from [search_root] over the hard edges
+     (source-major by then) and the soft edges accepted so far:
+     [visited.(c) = search] once reached, [stack] holds the frontier. *)
+  let visited = Array.make cap (-1) and stack = Array.make cap 0 in
+  let search = ref (-1) and search_root = ref (-1) and sp = ref 0 in
+  let reached c = visited.(c) = !search in
+  let push c =
+    if not (reached c) then begin
+      visited.(c) <- !search;
+      stack.(!sp) <- c;
+      incr sp
+    end
+  in
+  let reaches root goal =
+    if root <> !search_root then begin
+      incr search;
+      search_root := root;
+      sp := 0;
+      push root
+    end;
+    while !sp > 0 && not (reached goal) do
+      decr sp;
+      let c = stack.(!sp) in
+      for j = edge_start.(c) to edge_start.(c + 1) - 1 do
+        push edge_dst.Ints.items.(j)
+      done;
+      let e = ref soft_out.(c) in
+      while !e >= 0 do
+        push soft_dst.Ints.items.(!e);
+        e := soft_next_out.Ints.items.(!e)
+      done
+    done;
+    reached goal
+  in
   (* Anti-dependences: a fetch must not be overtaken by the first
-     subsequent store/delete to the same cell. Walk each fetch's token
-     chain downstream (chains are linear: one consumer per token) and
-     prefer scheduling the fetch's consumers no later than the overwriting
-     cluster. When that preference would cycle it is skipped; the allocator
-     then enforces read-before-overwrite with a move deadline. *)
-  let token_successor =
-    let succ = Hashtbl.create 64 in
-    G.iter g (fun n ->
-        match n.G.kind with
-        | G.St _ | G.Del _ -> (
-          match Array.to_list n.G.inputs with
-          | token :: _ -> Hashtbl.replace succ token n.G.id
-          | [] -> ())
-        | _ -> ());
-    fun token -> Hashtbl.find_opt succ token
+     subsequent store/delete to the same cell, so the fetch's consumers
+     prefer a level no later than the overwriting cluster's (weight 0). A
+     preference that would close a cycle is skipped; the allocator then
+     enforces read-before-overwrite with a move deadline. Fetches are taken
+     in ascending id, which decides the edges that survive. A fetch's
+     consumers may come in any order: they share one destination, and an
+     edge into the search root cannot change what the root reaches, so one
+     resumable search per run of fetches with the same overwriting cluster
+     answers them all. *)
+  let cur_fe = ref (-1) and cur_dst = ref (-1) in
+  let soft_candidate user _port =
+    let src = cid_node.(user) and dst = !cur_dst in
+    (* a cluster reading the fetch twice is one candidate *)
+    if src >= 0 && src <> dst && stamp.(src) <> !cur_fe then begin
+      stamp.(src) <- !cur_fe;
+      if not (reaches dst src) then begin
+        let e = soft_src.Ints.len in
+        Ints.push soft_src src;
+        Ints.push soft_dst dst;
+        Ints.push soft_next_out soft_out.(src);
+        Ints.push soft_next_in soft_in.(dst);
+        soft_out.(src) <- e;
+        soft_in.(dst) <- e
+      end
+    end
   in
-  let overwriter_of fe =
-    let offset = Legalize.const_offset g fe in
-    let rec down token =
-      match token_successor token with
-      | Some next ->
-        if Legalize.const_offset g next = offset then Some next else down next
-      | None -> None
+  let soft_edges np =
+    Array.fill stamp 0 np (-1);
+    search_root := -1;
+    G.iter_ids g (fun fe ->
+        match G.kind g fe with
+        | G.Fe _ ->
+          let ow = ch.overwriter.(fe) in
+          if ow >= 0 && cid_node.(ow) >= 0 then begin
+            cur_fe := fe;
+            cur_dst := cid_node.(ow);
+            G.iter_consumers_unordered g fe soft_candidate
+          end
+        | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
+        | G.St _ | G.Del _ ->
+          ())
+  in
+  let clear_soft np =
+    soft_src.Ints.len <- 0;
+    soft_dst.Ints.len <- 0;
+    soft_next_out.Ints.len <- 0;
+    soft_next_in.Ints.len <- 0;
+    Array.fill soft_out 0 np (-1);
+    Array.fill soft_in 0 np (-1)
+  in
+  let finish np =
+    let clusters =
+      Array.init np (fun cid ->
+          let p = proto_at.(cid) in
+          let stores = if p_store.(p) >= 0 then [ p_store.(p) ] else [] in
+          if p < nv then
+            { cid; ops = lay.part_ops.(p); root = Some p_root.(p); stores;
+              deletes = []; cinputs = lay.part_inputs.(p) }
+          else if p_del.(p) >= 0 then
+            { cid; ops = []; root = None; stores = []; deletes = [ p_del.(p) ];
+              cinputs = [] }
+          else
+            { cid; ops = []; root = Some p_root.(p); stores; deletes = [];
+              cinputs = [ p_root.(p) ] })
     in
-    down (List.nth (G.inputs g fe) 0)
-  in
-  G.iter g (fun n ->
-      match n.G.kind with
-      | G.Fe _ -> (
-        match overwriter_of n.G.id with
-        | Some overwriter -> (
-          match Hashtbl.find_opt cluster_of overwriter with
-          | Some dst -> (
-            match Hashtbl.find_opt consumers n.G.id with
-            | Some uses ->
-              List.iter
-                (fun (user, _) ->
-                  match Hashtbl.find_opt cluster_of user with
-                  | Some src -> add_soft_edge src dst
-                  | None -> ())
-                uses
-            | None -> ())
-          | None -> ())
-        | None -> ())
-      | _ -> ());
-  flush_soft_edges ();
-  let edges =
-    Hashtbl.fold (fun (src, dst) weight acc -> { src; dst; weight } :: acc)
-      edge_tbl []
-    |> List.sort compare
+    let cluster_of = Hashtbl.create (max 16 (lay.op_count + n_mut)) in
+    (* every op, store and delete is in exactly one cluster *)
+    let rec bind cid = function
+      | [] -> ()
+      | id :: rest ->
+        Hashtbl.add cluster_of id cid;
+        bind cid rest
+    in
+    Array.iter
+      (fun c ->
+        bind c.cid c.ops;
+        bind c.cid c.stores;
+        bind c.cid c.deletes)
+      clusters;
+    let edges = ref [] in
+    for s = np - 1 downto 0 do
+      for j = edge_start.(s + 1) - 1 downto edge_start.(s) do
+        edges :=
+          { src = s; dst = edge_dst.Ints.items.(j);
+            weight = edge_weight.Ints.items.(j) }
+          :: !edges
+      done
+    done;
+    { graph = g; clusters; edges = !edges; cluster_of }
   in
   (* A store fused into the cluster producing its value can close a cycle:
      the store's same-cell version edge points in while the root's data
@@ -512,39 +939,37 @@ let rec assemble ctx ~detached value_protos =
      edges alone form chains), so detaching one store per round into a
      pass-through cluster and reassembling terminates and converges to an
      acyclic cluster DAG. *)
-  let cycle_participants =
-    let n = Array.length clusters in
-    let indeg = Array.make n 0 in
-    List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
-    let queue = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-    let seen = Array.make n false in
-    while not (Queue.is_empty queue) do
-      let c = Queue.pop queue in
-      seen.(c) <- true;
-      List.iter
-        (fun e ->
-          if e.src = c then begin
-            indeg.(e.dst) <- indeg.(e.dst) - 1;
-            if indeg.(e.dst) = 0 then Queue.add e.dst queue
-          end)
-        edges
+  let rec attempt () =
+    let np = attach () in
+    number np;
+    hard_edges np;
+    clear_soft np;
+    source_major np;
+    soft_edges np;
+    source_major np;
+    Array.fill indeg 0 np 0;
+    for j = 0 to edge_start.(np) - 1 do
+      let d = edge_dst.Ints.items.(j) in
+      indeg.(d) <- indeg.(d) + 1
     done;
-    List.filter (fun cid -> not seen.(cid)) (List.init n Fun.id)
+    if kahn ~n:np ~start:edge_start ~succ:edge_dst.Ints.items ~indeg ~queue = np
+    then finish np
+    else begin
+      (* the first cluster left on or behind a cycle with ops and a store *)
+      let culprit = ref (-1) and c = ref 0 in
+      while !culprit < 0 && !c < np do
+        let p = proto_at.(!c) in
+        if indeg.(!c) > 0 && p < nv && p_store.(p) >= 0 then
+          culprit := p_store.(p);
+        incr c
+      done;
+      if !culprit < 0 then
+        errorf "cluster dependence graph has an irreducible cycle";
+      Bytes.set detached !culprit '\001';
+      attempt ()
+    end
   in
-  match
-    List.find_opt
-      (fun cid ->
-        clusters.(cid).ops <> [] && clusters.(cid).stores <> [])
-      cycle_participants
-  with
-  | None when cycle_participants = [] ->
-    { graph = g; clusters; edges; cluster_of }
-  | None -> errorf "cluster dependence graph has an irreducible cycle"
-  | Some cid -> (
-    match clusters.(cid).stores with
-    | st :: _ -> assemble ctx ~detached:(G.Id_set.add st detached) value_protos
-    | [] -> assert false)
+  attempt ()
 
 let c_clusters = Fpfa_obs.Obs.counter "cluster.clusters"
 let c_edges = Fpfa_obs.Obs.counter "cluster.edges"
@@ -556,63 +981,63 @@ let tally t =
 
 let run ?(caps = Arch.paper_alu) g =
   let ctx = make_ctx g in
-  tally (assemble ctx ~detached:G.Id_set.empty (partition_greedy ctx caps))
+  tally (assemble ctx (partition_greedy ctx caps))
 
 let sarkar ?(caps = Arch.paper_alu) g =
   let ctx = make_ctx g in
-  tally (assemble ctx ~detached:G.Id_set.empty (partition_sarkar ctx caps))
+  tally (assemble ctx (partition_sarkar ctx caps))
 
 let unit_clusters g = run ~caps:Arch.unit_alu g
 
 let inputs_of c = c.cinputs
 
-let preds t cid =
-  List.filter_map
-    (fun e -> if e.dst = cid then Some (e.src, e.weight) else None)
-    t.edges
-
-let succs t cid =
-  List.filter_map
-    (fun e -> if e.src = cid then Some (e.dst, e.weight) else None)
-    t.edges
-
+(* Caps per cluster on stamp arrays (only the number of external operands
+   matters here, not their order), then Kahn over compressed adjacency:
+   any cycle, regardless of weight, is fatal. *)
 let validate t caps =
-  let g = t.graph in
-  let topo = G.topo_order g in
-  let topo_pos = Hashtbl.create (List.length topo) in
-  List.iteri (fun i id -> Hashtbl.replace topo_pos id i) topo;
+  let pr = new_probe t.graph in
+  let rec add_ops = function
+    | [] -> ()
+    | id :: rest ->
+      probe_add pr id;
+      add_ops rest
+  in
   Array.iter
     (fun c ->
       if c.ops <> [] then begin
-        let members =
-          List.fold_left (fun s id -> G.Id_set.add id s) G.Id_set.empty c.ops
-        in
-        if not (satisfies_caps g topo_pos caps members) then
+        probe_begin pr;
+        add_ops c.ops;
+        if not (probe_fits pr caps) then
           errorf "cluster %d violates the ALU data-path constraints" c.cid
       end;
       match (c.ops, c.root, c.deletes) with
       | [], None, [] -> errorf "cluster %d is empty" c.cid
       | _ -> ())
     t.clusters;
-  (* Kahn over cluster edges (any cycle, regardless of weight, is fatal). *)
   let n = Array.length t.clusters in
-  let indeg = Array.make n 0 in
-  List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) t.edges;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    incr seen;
-    List.iter
-      (fun e ->
-        if e.src = c then begin
-          indeg.(e.dst) <- indeg.(e.dst) - 1;
-          if indeg.(e.dst) = 0 then Queue.add e.dst queue
-        end)
-      t.edges
+  let start = Array.make (n + 1) 0 and indeg = Array.make n 0 in
+  let rec count = function
+    | [] -> ()
+    | e :: rest ->
+      start.(e.src + 1) <- start.(e.src + 1) + 1;
+      indeg.(e.dst) <- indeg.(e.dst) + 1;
+      count rest
+  in
+  count t.edges;
+  for c = 0 to n - 1 do
+    start.(c + 1) <- start.(c + 1) + start.(c)
   done;
-  if !seen <> n then errorf "cluster dependence graph has a cycle"
+  let fill = Array.sub start 0 n and succ = Array.make (max 1 start.(n)) 0 in
+  let rec place = function
+    | [] -> ()
+    | e :: rest ->
+      succ.(fill.(e.src)) <- e.dst;
+      fill.(e.src) <- fill.(e.src) + 1;
+      place rest
+  in
+  place t.edges;
+  if kahn ~n ~start ~succ ~indeg ~queue:fill <> n then
+    errorf "cluster dependence graph has a cycle"
 
 let pp_cluster g fmt c =
   let op_name id =

@@ -11,7 +11,17 @@
     memory-only clusters.
 
     Fetch ([Fe]) and constant nodes are not clustered: they are cluster
-    {e inputs}, handled by phase 3 as register moves and immediates. *)
+    {e inputs}, handled by phase 3 as register moves and immediates.
+
+    Complexity: {!run}, {!sarkar} and {!validate} take O(V + E) time in the
+    graph's nodes and data edges for fixed ALU caps (each data-path probe
+    touches at most [max_ops] members and their operands), plus, for the
+    anti-dependence edges, one search of the cluster DAG per distinct
+    overwriting cluster of consecutive fetches. Working state lives in
+    arrays indexed by node id or cluster id; the words allocated in the
+    minor heap are bounded per cluster (the result itself and the
+    legality check). A rare fused store closing a cycle repeats the
+    assembly once per detached store. *)
 
 type cluster = {
   cid : int;
@@ -60,11 +70,6 @@ val unit_clusters : Cdfg.Graph.t -> t
 
 val inputs_of : cluster -> Cdfg.Graph.id list
 (** [cluster.cinputs]. *)
-
-val preds : t -> int -> (int * int) list
-(** [(src, weight)] dependency list of a cluster. *)
-
-val succs : t -> int -> (int * int) list
 
 val validate : t -> Fpfa_arch.Arch.alu_caps -> unit
 (** Checks every cluster against the data-path constraints and the edge
