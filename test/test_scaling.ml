@@ -129,6 +129,44 @@ let test_backend_words_per_cluster () =
       check "Sched.run" sched_words sched_ceiling)
     [ Kernels.fir ~taps:256; Kernels.crc8 ~bytes:16 ]
 
+(* Allocation ceilings per cluster for phase 1 (Cluster.run followed by
+   Cluster.validate) on the minimised fir-256 and crc8-16. Clustering used
+   to copy a member set, sort it and build a table for every candidate it
+   probed, rebuild a node list inside every comparison of the cluster
+   numbering sort, and keep edges and reachability in tuple-keyed tables;
+   validation rebuilt the topological order. Words per cluster, fir-256 /
+   crc8-16:
+
+   {v
+                                    run + validate
+   set-and-table clustering         1742 / 1625
+   linear clustering                 145 /  102
+   + per-comparison position lists   275 /  242
+   + set-based cap probe             357 /  363
+   v}
+
+   Either regression crosses a ceiling on both programs. [Legalize.check]
+   accounts for 106 / 57 of the linear figure. *)
+let cluster_ceilings = [ ("fir-256", 200.0); ("crc8-16", 150.0) ]
+
+let test_cluster_words_per_cluster () =
+  List.iter
+    (fun (k : Kernels.t) ->
+      let ceiling = List.assoc k.Kernels.name cluster_ceilings in
+      let r = Flow.map_source ~func:"main" k.Kernels.source in
+      let g = r.Flow.clustering.Mapping.Cluster.graph in
+      let w0 = Gc.minor_words () in
+      let t = Mapping.Cluster.run g in
+      Mapping.Cluster.validate t Fpfa_arch.Arch.paper_alu;
+      let words = Gc.minor_words () -. w0 in
+      let per = words /. float_of_int (Array.length t.Mapping.Cluster.clusters) in
+      if per > ceiling then
+        Alcotest.failf
+          "Cluster.run + Cluster.validate allocate %.0f words per cluster on \
+           %s (> %.0f)"
+          per k.Kernels.name ceiling)
+    [ Kernels.fir ~taps:256; Kernels.crc8 ~bytes:16 ]
+
 let test_slope_fit () =
   Alcotest.(check (float 1e-9)) "exact power law" 1.5
     (loglog_slope [ (1.0, 1.0); (4.0, 8.0); (16.0, 64.0) ])
@@ -142,4 +180,6 @@ let suite =
       test_words_per_raw_node;
     Alcotest.test_case "back-end words per cluster under ceilings" `Quick
       test_backend_words_per_cluster;
+    Alcotest.test_case "clustering words per cluster under ceilings" `Quick
+      test_cluster_words_per_cluster;
   ]
