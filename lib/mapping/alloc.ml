@@ -1,6 +1,7 @@
 module G = Cdfg.Graph
 module Arch = Fpfa_arch.Arch
 module Obs = Fpfa_obs.Obs
+module Intbuf = Fpfa_util.Intbuf
 
 (* Allocator tallies for `--stats` (inert until Obs.enable). "alloc.moves"
    and "alloc.forwards" must reconcile with Mapping.Metrics on the mapped
@@ -35,22 +36,6 @@ let errorf fmt = Format.kasprintf (fun msg -> raise (Allocation_error msg)) fmt
    counts in place and logs each bump, so a failed attempt undoes exactly
    its own log and leaves no trace.                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* A growable int stack. *)
-module Log = struct
-  type t = { mutable items : int array; mutable len : int }
-
-  let create () = { items = Array.make 16 0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.items then begin
-      let grown = Array.make (2 * t.len) 0 in
-      Array.blit t.items 0 grown 0 t.len;
-      t.items <- grown
-    end;
-    t.items.(t.len) <- x;
-    t.len <- t.len + 1
-end
 
 (* Use counts of one resource, [cycle * width + slot] -> uses, in 16-bit
    cells: no count exceeds the number of port slots of a cycle (a port is
@@ -106,7 +91,7 @@ module Regs = struct
     latest_end : int array;  (** end of the latest committed interval, or -1 *)
     planned : int array;  (** stamp of the attempt that planned it *)
     mutable stamp : int;  (** current attempt *)
-    log : Log.t;  (** registers the current attempt planned *)
+    log : Intbuf.t;  (** registers the current attempt planned *)
   }
 
   let create ~registers per_bank =
@@ -115,7 +100,7 @@ module Regs = struct
       latest_end = Array.make registers (-1);
       planned = Array.make registers (-1);
       stamp = 0;
-      log = Log.create ();
+      log = Intbuf.create ();
     }
 
   (* First index at or after [index] of the bank whose registers start at
@@ -132,15 +117,15 @@ module Regs = struct
 
   let plan t r =
     t.planned.(r) <- t.stamp;
-    Log.push t.log r
+    Intbuf.push t.log r
 
   let new_attempt t =
     t.stamp <- t.stamp + 1;
-    t.log.Log.len <- 0
+    t.log.Intbuf.len <- 0
 
   let commit t ~exec =
-    for i = 0 to t.log.Log.len - 1 do
-      let r = t.log.Log.items.(i) in
+    for i = 0 to t.log.Intbuf.len - 1 do
+      let r = t.log.Intbuf.items.(i) in
       assert (t.latest_end.(r) < exec);
       t.latest_end.(r) <- exec
     done
@@ -181,7 +166,7 @@ type state = {
   write_port : Slots.t;
   bank_write : Slots.t;
       (* (cycle, pp * banks + bank) -> register-bank writes; one port per bank *)
-  bumps : Log.t;  (* the attempt's bumps: slot index * 3 + resource *)
+  bumps : Intbuf.t;  (* the attempt's bumps: slot index * 3 + resource *)
   regs : Regs.t;
   cell_last_write : (int, int) Hashtbl.t;  (* cell key -> cycle *)
   (* placement *)
@@ -191,7 +176,7 @@ type state = {
   scratch_of : Job.mem_loc option array;  (* cid -> scratch cell *)
   scratch_wb_of : int array;  (* cid -> scratch commit cycle *)
   writeback_of : (G.id, int) Hashtbl.t;  (* St/Del node -> commit cycle *)
-  plans : Log.t;
+  plans : Intbuf.t;
       (* the attempt's planned registers, three ints each: the operand's
          position in the level (times two, plus one for a forward), the
          cycle and the register index; job records are built from it only
@@ -224,11 +209,11 @@ let bank_tag = 2
 
 let bump st slots tag i =
   Slots.bump slots i;
-  Log.push st.bumps ((i * 3) + tag)
+  Intbuf.push st.bumps ((i * 3) + tag)
 
 let undo_bumps st =
-  for k = st.bumps.Log.len - 1 downto 0 do
-    let e = st.bumps.Log.items.(k) in
+  for k = st.bumps.Intbuf.len - 1 downto 0 do
+    let e = st.bumps.Intbuf.items.(k) in
     let tag = e mod 3 in
     Slots.unbump
       (if tag = bus_tag then st.bus
@@ -236,7 +221,7 @@ let undo_bumps st =
        else st.bank_write)
       (e / 3)
   done;
-  st.bumps.Log.len <- 0
+  st.bumps.Intbuf.len <- 0
 
 let mem_slot st (loc : Job.mem_loc) = (loc.Job.mpp * st.mems) + loc.Job.mem
 
@@ -497,9 +482,9 @@ let plan_reg st (o : operand) ~at ~forward ~cycle index =
   Regs.plan st.regs (reg_base st ~pp:o.opp ~port:o.oport + index);
   bump st st.bus bus_tag (Slots.index st.bus ~cycle 0);
   bump st st.bank_write bank_tag (bank_slot st ~cycle ~pp:o.opp ~port:o.oport);
-  Log.push st.plans ((at * 2) + if forward then 1 else 0);
-  Log.push st.plans cycle;
-  Log.push st.plans index
+  Intbuf.push st.plans ((at * 2) + if forward then 1 else 0);
+  Intbuf.push st.plans cycle;
+  Intbuf.push st.plans index
 
 (* Extension: the producing cluster writes straight into the consumer's
    register at its own execute cycle. *)
@@ -723,8 +708,8 @@ let level_operands st alu_cids =
    attempt back completely. *)
 let try_level st ~exec operands =
   Regs.new_attempt st.regs;
-  st.bumps.Log.len <- 0;
-  st.plans.Log.len <- 0;
+  st.bumps.Intbuf.len <- 0;
+  st.plans.Intbuf.len <- 0;
   let rec plan_all at =
     at >= Array.length operands
     || (plan_operand st ~exec operands at && plan_all (at + 1))
@@ -737,11 +722,11 @@ let try_level st ~exec operands =
 
 let commit_level st ~exec ~level level_cids operands =
   let g = st.graph in
-  Obs.add c_reg_hits st.regs.Regs.log.Log.len;
+  Obs.add c_reg_hits st.regs.Regs.log.Intbuf.len;
   Regs.commit st.regs ~exec;
   (* the planned moves and forwards, in planning order *)
-  let plans = st.plans.Log.items in
-  for k = 0 to (st.plans.Log.len / 3) - 1 do
+  let plans = st.plans.Intbuf.items in
+  for k = 0 to (st.plans.Intbuf.len / 3) - 1 do
     let code = plans.(3 * k) and cycle = plans.((3 * k) + 1) in
     let o = operands.(code / 2) in
     let reg = { Job.pp = o.opp; bank = o.oport; index = plans.((3 * k) + 2) } in
@@ -967,7 +952,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       read_port = Slots.create ~width:(pps * mems) ~cycles;
       write_port = Slots.create ~width:(pps * mems) ~cycles;
       bank_write = Slots.create ~width:(pps * banks) ~cycles;
-      bumps = Log.create ();
+      bumps = Intbuf.create ();
       regs = Regs.create ~registers:(pps * banks * tile.Arch.regs_per_bank) tile.Arch.regs_per_bank;
       cell_last_write = Hashtbl.create 64;
       homes = [];
@@ -976,7 +961,7 @@ let run ?(options = default_options) ~tile (sched : Sched.t) =
       scratch_of = Array.make n None;
       scratch_wb_of = Array.make n (-1);
       writeback_of = Hashtbl.create 64;
-      plans = Log.create ();
+      plans = Intbuf.create ();
       port_regs_of = Array.make n [];
       rec_moves = [];
       rec_alu = [];

@@ -1,6 +1,7 @@
 module G = Cdfg.Graph
 module Op = Cdfg.Op
 module Arch = Fpfa_arch.Arch
+module Intbuf = Fpfa_util.Intbuf
 
 type cluster = {
   cid : int;
@@ -34,22 +35,6 @@ let is_mult_class g id =
   | G.Binop op -> Op.is_multiplier_class op
   | _ -> false
 
-(* Growable int stack. *)
-module Ints = struct
-  type t = { mutable items : int array; mutable len : int }
-
-  let create cap = { items = Array.make (max 16 cap) 0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.items then begin
-      let grown = Array.make (2 * t.len) 0 in
-      Array.blit t.items 0 grown 0 t.len;
-      t.items <- grown
-    end;
-    t.items.(t.len) <- x;
-    t.len <- t.len + 1
-end
-
 (* Data-path check of an explicit member set (Sarkar's merge candidates,
    {!validate}'s clusters). Membership, counted operands and memoised
    depths are stamp arrays indexed by node id, so one check touches only
@@ -60,7 +45,7 @@ type probe = {
   seen : int array;  (** = [stamp]: operand already counted *)
   dmark : int array;  (** = [stamp]: [dval] holds the node's depth *)
   dval : int array;
-  members : Ints.t;
+  members : Intbuf.t;
   mutable stamp : int;
 }
 
@@ -72,19 +57,19 @@ let new_probe g =
     seen = Array.make bound (-1);
     dmark = Array.make bound (-1);
     dval = Array.make bound 0;
-    members = Ints.create 16;
+    members = Intbuf.create ();
     stamp = -1;
   }
 
 let probe_begin pr =
   pr.stamp <- pr.stamp + 1;
-  pr.members.Ints.len <- 0
+  pr.members.Intbuf.len <- 0
 
 (* a repeated id counts once, as in a set *)
 let probe_add pr id =
   if pr.mark.(id) <> pr.stamp then begin
     pr.mark.(id) <- pr.stamp;
-    Ints.push pr.members id
+    Intbuf.push pr.members id
   end
 
 (* Longest path within the member set ending at [id], counted in
@@ -106,7 +91,7 @@ let rec member_depth pr id =
 
 let probe_fits pr (caps : Arch.alu_caps) =
   let g = pr.pg and s = pr.stamp in
-  let items = pr.members.Ints.items and n = pr.members.Ints.len in
+  let items = pr.members.Intbuf.items and n = pr.members.Intbuf.len in
   n <= caps.Arch.max_ops
   && begin
        let mults = ref 0 in
@@ -586,7 +571,7 @@ let layout ctx (part : partition) =
   done;
   let cinputs = Array.make nv [] in
   let seen = Array.make (Array.length owner) (-1) in
-  let operands = Ints.create 16 in
+  let operands = Intbuf.create () in
   let rec scan k = function
     | [] -> ()
     | m :: rest ->
@@ -594,17 +579,17 @@ let layout ctx (part : partition) =
         let x = G.input g m port in
         if owner.(x) <> k && seen.(x) <> k then begin
           seen.(x) <- k;
-          Ints.push operands x
+          Intbuf.push operands x
         end
       done;
       scan k rest
   in
   for k = 0 to nv - 1 do
-    operands.Ints.len <- 0;
+    operands.Intbuf.len <- 0;
     scan k ops.(k);
     let l = ref [] in
-    for j = operands.Ints.len - 1 downto 0 do
-      l := operands.Ints.items.(j) :: !l
+    for j = operands.Intbuf.len - 1 downto 0 do
+      l := operands.Intbuf.items.(j) :: !l
     done;
     cinputs.(k) <- !l
   done;
@@ -621,14 +606,14 @@ let assemble ctx (part : partition) =
   let bound = Array.length pos and nodes = Array.length ctx.order in
   let owner = part.owner and nv = part.parts in
   let lay = layout ctx part in
-  let mutators = Ints.create 64 in
+  let mutators = Intbuf.create () in
   G.iter_ids g (fun id ->
       match G.kind g id with
-      | G.St _ | G.Del _ -> Ints.push mutators id
+      | G.St _ | G.Del _ -> Intbuf.push mutators id
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
       | G.Fe _ ->
         ());
-  let n_mut = mutators.Ints.len in
+  let n_mut = mutators.Intbuf.len in
   let cap = max 1 (nv + n_mut) in
   let p_root = Array.make cap 0 in
   Array.blit part.roots 0 p_root 0 nv;
@@ -660,7 +645,7 @@ let assemble ctx (part : partition) =
     Array.fill p_store 0 nv (-1);
     protos := nv;
     for j = 0 to n_mut - 1 do
-      let n = mutators.Ints.items.(j) in
+      let n = mutators.Intbuf.items.(j) in
       match G.kind g n with
       | G.St _ ->
         let value = G.input g n 2 in
@@ -707,18 +692,18 @@ let assemble ctx (part : partition) =
       if k >= 0 then cid_node.(id) <- cid_of.(k)
     done;
     for j = 0 to n_mut - 1 do
-      cid_node.(mutators.Ints.items.(j)) <- cid_of.(mut_proto.(j))
+      cid_node.(mutators.Intbuf.items.(j)) <- cid_of.(mut_proto.(j))
     done
   in
   (* Hard (weight-1) edges, grouped by destination and deduplicated with a
      stamp: operands after their producers, fetches and stores/deletes
      after the version of their cell. *)
-  let hard = Ints.create (2 * cap) and hard_start = Array.make (cap + 1) 0 in
+  let hard = Intbuf.create () and hard_start = Array.make (cap + 1) 0 in
   let stamp = Array.make cap (-1) in
   let add_hard dst src =
     if src <> dst && stamp.(src) <> dst then begin
       stamp.(src) <- dst;
-      Ints.push hard src
+      Intbuf.push hard src
     end
   in
   let version_edge dst access =
@@ -747,44 +732,44 @@ let assemble ctx (part : partition) =
       input_edges dst rest
   in
   let hard_edges np =
-    hard.Ints.len <- 0;
+    hard.Intbuf.len <- 0;
     Array.fill stamp 0 np (-1);
     for dst = 0 to np - 1 do
-      hard_start.(dst) <- hard.Ints.len;
+      hard_start.(dst) <- hard.Intbuf.len;
       let p = proto_at.(dst) in
       if p < nv then input_edges dst lay.part_inputs.(p)
       else if p_del.(p) < 0 then input_edge dst p_root.(p);
       if p_store.(p) >= 0 then version_edge dst p_store.(p);
       if p_del.(p) >= 0 then version_edge dst p_del.(p)
     done;
-    hard_start.(np) <- hard.Ints.len
+    hard_start.(np) <- hard.Intbuf.len
   in
   (* accepted soft (weight-0) edges, threaded by source and by destination *)
-  let soft_src = Ints.create 16 and soft_dst = Ints.create 16 in
-  let soft_next_out = Ints.create 16 and soft_next_in = Ints.create 16 in
+  let soft_src = Intbuf.create () and soft_dst = Intbuf.create () in
+  let soft_next_out = Intbuf.create () and soft_next_in = Intbuf.create () in
   let soft_out = Array.make cap (-1) and soft_in = Array.make cap (-1) in
   (* Edges by source in ascending destination order, deduplicated with
      weight 1 winning: built from the per-destination lists, hard and soft,
      by one counting pass and one placing pass. *)
   let edge_start = Array.make (cap + 1) 0 in
-  let edge_dst = Ints.create (2 * cap) and edge_weight = Ints.create (2 * cap) in
+  let edge_dst = ref [||] and edge_weight = ref [||] in
   let indeg = Array.make cap 0 and queue = Array.make cap 0 in
   let each_edge np f =
     Array.fill stamp 0 np (-1);
     for dst = 0 to np - 1 do
       for j = hard_start.(dst) to hard_start.(dst + 1) - 1 do
-        let s = hard.Ints.items.(j) in
+        let s = hard.Intbuf.items.(j) in
         stamp.(s) <- dst;
         f s dst 1
       done;
       let e = ref soft_in.(dst) in
       while !e >= 0 do
-        let s = soft_src.Ints.items.(!e) in
+        let s = soft_src.Intbuf.items.(!e) in
         if stamp.(s) <> dst then begin
           stamp.(s) <- dst;
           f s dst 0
         end;
-        e := soft_next_in.Ints.items.(!e)
+        e := soft_next_in.Intbuf.items.(!e)
       done
     done
   in
@@ -794,18 +779,16 @@ let assemble ctx (part : partition) =
     for s = 0 to np - 1 do
       edge_start.(s + 1) <- edge_start.(s + 1) + edge_start.(s)
     done;
-    edge_dst.Ints.len <- 0;
-    edge_weight.Ints.len <- 0;
-    for _ = 1 to edge_start.(np) do
-      Ints.push edge_dst 0;
-      Ints.push edge_weight 0
-    done;
+    let dsts = Array.make edge_start.(np) 0 in
+    let weights = Array.make edge_start.(np) 0 in
     let fill = indeg in
     Array.blit edge_start 0 fill 0 np;
     each_edge np (fun s dst w ->
-        edge_dst.Ints.items.(fill.(s)) <- dst;
-        edge_weight.Ints.items.(fill.(s)) <- w;
-        fill.(s) <- fill.(s) + 1)
+        dsts.(fill.(s)) <- dst;
+        weights.(fill.(s)) <- w;
+        fill.(s) <- fill.(s) + 1);
+    edge_dst := dsts;
+    edge_weight := weights
   in
   (* Resumable depth-first search from [search_root] over the hard edges
      (source-major by then) and the soft edges accepted so far:
@@ -831,12 +814,12 @@ let assemble ctx (part : partition) =
       decr sp;
       let c = stack.(!sp) in
       for j = edge_start.(c) to edge_start.(c + 1) - 1 do
-        push edge_dst.Ints.items.(j)
+        push !edge_dst.(j)
       done;
       let e = ref soft_out.(c) in
       while !e >= 0 do
-        push soft_dst.Ints.items.(!e);
-        e := soft_next_out.Ints.items.(!e)
+        push soft_dst.Intbuf.items.(!e);
+        e := soft_next_out.Intbuf.items.(!e)
       done
     done;
     reached goal
@@ -858,11 +841,11 @@ let assemble ctx (part : partition) =
     if src >= 0 && src <> dst && stamp.(src) <> !cur_fe then begin
       stamp.(src) <- !cur_fe;
       if not (reaches dst src) then begin
-        let e = soft_src.Ints.len in
-        Ints.push soft_src src;
-        Ints.push soft_dst dst;
-        Ints.push soft_next_out soft_out.(src);
-        Ints.push soft_next_in soft_in.(dst);
+        let e = soft_src.Intbuf.len in
+        Intbuf.push soft_src src;
+        Intbuf.push soft_dst dst;
+        Intbuf.push soft_next_out soft_out.(src);
+        Intbuf.push soft_next_in soft_in.(dst);
         soft_out.(src) <- e;
         soft_in.(dst) <- e
       end
@@ -885,10 +868,10 @@ let assemble ctx (part : partition) =
           ())
   in
   let clear_soft np =
-    soft_src.Ints.len <- 0;
-    soft_dst.Ints.len <- 0;
-    soft_next_out.Ints.len <- 0;
-    soft_next_in.Ints.len <- 0;
+    soft_src.Intbuf.len <- 0;
+    soft_dst.Intbuf.len <- 0;
+    soft_next_out.Intbuf.len <- 0;
+    soft_next_in.Intbuf.len <- 0;
     Array.fill soft_out 0 np (-1);
     Array.fill soft_in 0 np (-1)
   in
@@ -925,8 +908,8 @@ let assemble ctx (part : partition) =
     for s = np - 1 downto 0 do
       for j = edge_start.(s + 1) - 1 downto edge_start.(s) do
         edges :=
-          { src = s; dst = edge_dst.Ints.items.(j);
-            weight = edge_weight.Ints.items.(j) }
+          { src = s; dst = !edge_dst.(j);
+            weight = !edge_weight.(j) }
           :: !edges
       done
     done;
@@ -949,10 +932,10 @@ let assemble ctx (part : partition) =
     source_major np;
     Array.fill indeg 0 np 0;
     for j = 0 to edge_start.(np) - 1 do
-      let d = edge_dst.Ints.items.(j) in
+      let d = !edge_dst.(j) in
       indeg.(d) <- indeg.(d) + 1
     done;
-    if kahn ~n:np ~start:edge_start ~succ:edge_dst.Ints.items ~indeg ~queue = np
+    if kahn ~n:np ~start:edge_start ~succ:!edge_dst ~indeg ~queue = np
     then finish np
     else begin
       (* the first cluster left on or behind a cycle with ops and a store *)

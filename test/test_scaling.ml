@@ -140,9 +140,9 @@ let test_backend_words_per_cluster () =
    {v
                                     run + validate
    set-and-table clustering         1742 / 1625
-   linear clustering                 145 /  102
-   + per-comparison position lists   275 /  242
-   + set-based cap probe             357 /  363
+   linear clustering                 147 /  103
+   + per-comparison position lists   276 /  242
+   + set-based cap probe             359 /  364
    v}
 
    Either regression crosses a ceiling on both programs. [Legalize.check]
