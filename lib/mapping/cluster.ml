@@ -37,10 +37,11 @@ let is_mult_class g id =
 
 (* Data-path check of an explicit member set (Sarkar's merge candidates,
    {!validate}'s clusters). Membership, counted operands and memoised
-   depths are stamp arrays indexed by node id, so one check touches only
-   the members and their operands. *)
+   depths are stamp arrays over a dense numbering of the nodes, so one
+   check touches only the members and their operands. *)
 type probe = {
   pg : G.t;
+  slot : int array;  (** node id -> index into the arrays below *)
   mark : int array;  (** = [stamp]: member of the set under test *)
   seen : int array;  (** = [stamp]: operand already counted *)
   dmark : int array;  (** = [stamp]: [dval] holds the node's depth *)
@@ -49,14 +50,14 @@ type probe = {
   mutable stamp : int;
 }
 
-let new_probe g =
-  let bound = G.id_bound g in
+let new_probe g ~slot nodes =
   {
     pg = g;
-    mark = Array.make bound (-1);
-    seen = Array.make bound (-1);
-    dmark = Array.make bound (-1);
-    dval = Array.make bound 0;
+    slot;
+    mark = Array.make nodes (-1);
+    seen = Array.make nodes (-1);
+    dmark = Array.make nodes (-1);
+    dval = Array.make nodes 0;
     members = Intbuf.create ();
     stamp = -1;
   }
@@ -67,25 +68,26 @@ let probe_begin pr =
 
 (* a repeated id counts once, as in a set *)
 let probe_add pr id =
-  if pr.mark.(id) <> pr.stamp then begin
-    pr.mark.(id) <- pr.stamp;
+  let i = pr.slot.(id) in
+  if pr.mark.(i) <> pr.stamp then begin
+    pr.mark.(i) <- pr.stamp;
     Intbuf.push pr.members id
   end
 
 (* Longest path within the member set ending at [id], counted in
    operations. *)
 let rec member_depth pr id =
-  let s = pr.stamp in
-  if pr.mark.(id) <> s then 0
-  else if pr.dmark.(id) = s then pr.dval.(id)
+  let s = pr.stamp and i = pr.slot.(id) in
+  if pr.mark.(i) <> s then 0
+  else if pr.dmark.(i) = s then pr.dval.(i)
   else begin
     let d = ref 0 in
     for port = 0 to G.arity_of pr.pg id - 1 do
       let x = member_depth pr (G.input pr.pg id port) in
       if x > !d then d := x
     done;
-    pr.dmark.(id) <- s;
-    pr.dval.(id) <- 1 + !d;
+    pr.dmark.(i) <- s;
+    pr.dval.(i) <- 1 + !d;
     1 + !d
   end
 
@@ -113,7 +115,7 @@ let probe_fits pr (caps : Arch.alu_caps) =
   for j = 0 to n - 1 do
     let m = items.(j) in
     for port = 0 to G.arity_of g m - 1 do
-      let x = G.input g m port in
+      let x = pr.slot.(G.input g m port) in
       if pr.mark.(x) <> s && pr.seen.(x) <> s then begin
         pr.seen.(x) <- s;
         incr inputs
@@ -122,32 +124,34 @@ let probe_fits pr (caps : Arch.alu_caps) =
   done;
   !inputs <= caps.Arch.max_inputs
 
-(* Shared context of the partitioning algorithms. *)
+(* Shared context of the partitioning algorithms. Per-node tables are
+   indexed by topological position, a dense numbering: a minimised graph
+   keeps its raw graph's ids, which can outnumber its nodes tenfold. *)
 type ctx = {
   cg : G.t;
-  order : int array;  (** [order.(p)] is the node at topological position [p] *)
+  order : int array;  (** topological position -> node id *)
   pos : int array;  (** node id -> topological position *)
-  named : Bytes.t;  (** node id -> ['\001'] when a named output *)
+  named : Bytes.t;  (** position -> ['\001'] when a named output *)
 }
 
 let make_ctx g =
   Legalize.check g;
-  let bound = G.id_bound g in
-  let pos = Array.make bound (-1) in
+  let pos = Array.make (G.id_bound g) (-1) in
   let order = Array.make (G.node_count g) 0 in
   List.iteri
     (fun i id ->
       order.(i) <- id;
       pos.(id) <- i)
     (G.topo_order g);
-  let named = Bytes.make bound '\000' in
-  List.iter (fun (_, id) -> Bytes.set named id '\001') (G.outputs g);
+  let named = Bytes.make (Array.length order) '\000' in
+  List.iter (fun (_, id) -> Bytes.set named pos.(id) '\001') (G.outputs g);
   { cg = g; order; pos; named }
 
-let is_named ctx id = Bytes.get ctx.named id <> '\000'
+let is_named ctx id = Bytes.get ctx.named ctx.pos.(id) <> '\000'
 
 (* A partition of the value operations: part [k] computes [roots.(k)],
-   [owner.(id)] is the part of value op [id] (-1 for every other node). *)
+   [owner.(p)] is the part of the value op at position [p] (-1 for every
+   other node). *)
 type partition = { owner : int array; roots : int array; parts : int }
 
 (* Greedy data-path template partitioning (the paper's phase 1). Value ops
@@ -163,29 +167,30 @@ type partition = { owner : int array; roots : int array; parts : int }
    Each cap is therefore probed incrementally, from the part's running
    counts and the per-member path length [down] (to the root, in ops). *)
 let partition_greedy ctx (caps : Arch.alu_caps) =
-  let g = ctx.cg in
-  let bound = Array.length ctx.pos and nodes = Array.length ctx.order in
-  let owner = Array.make bound (-1) in
-  let roots = Array.make (max 1 nodes) 0 in
+  let g = ctx.cg and pos = ctx.pos in
+  let nodes = Array.length ctx.order in
+  let owner = Array.make nodes (-1) in
+  let roots = Array.make nodes 0 in
   let parts = ref 0 in
   let cap = max 1 (min caps.Arch.max_ops nodes) in
   let members = Array.make cap 0 and cands = Array.make (3 * cap) 0 in
-  let down = Array.make bound 0 in
+  let down = Array.make nodes 0 in
   (* = part: the node is already an external operand of that part *)
-  let ext = Array.make bound (-1) in
+  let ext = Array.make nodes (-1) in
   (* consumer probe: every consumer a member of [probe_part], and the
      longest [down] among them *)
   let probe_part = ref 0 and probe_ok = ref true and probe_down = ref 0 in
   let visit user _port =
-    if owner.(user) <> !probe_part then probe_ok := false
-    else if down.(user) > !probe_down then probe_down := down.(user)
+    let u = pos.(user) in
+    if owner.(u) <> !probe_part then probe_ok := false
+    else if down.(u) > !probe_down then probe_down := down.(u)
   in
   (* operands of [p] not yet external to part [k], a repeated one once *)
   let fresh_inputs k p =
     let fresh = ref 0 in
     for port = 0 to G.arity_of g p - 1 do
       let x = G.input g p port in
-      if ext.(x) <> k then begin
+      if ext.(pos.(x)) <> k then begin
         let repeated = ref false in
         for earlier = 0 to port - 1 do
           if G.input g p earlier = x then repeated := true
@@ -197,16 +202,16 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
   in
   let mark_inputs k p =
     for port = 0 to G.arity_of g p - 1 do
-      ext.(G.input g p port) <- k
+      ext.(pos.(G.input g p port)) <- k
     done
   in
   let grow root =
     let k = !parts in
     incr parts;
     roots.(k) <- root;
-    owner.(root) <- k;
+    owner.(pos.(root)) <- k;
     members.(0) <- root;
-    down.(root) <- 1;
+    down.(pos.(root)) <- 1;
     let size = ref 1 and depth = ref 1 in
     let mults = ref (if is_mult_class g root then 1 else 0) in
     let inputs = ref (fresh_inputs k root) in
@@ -219,7 +224,7 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
         let m = members.(j) in
         for port = 0 to G.arity_of g m - 1 do
           let x = G.input g m port in
-          if owner.(x) < 0 && is_value_op g x then begin
+          if owner.(pos.(x)) < 0 && is_value_op g x then begin
             let at = ref !n in
             while !at > 0 && cands.(!at - 1) > x do
               decr at
@@ -255,9 +260,9 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
           inputs := !inputs - 1 + fresh_inputs k p;
           mark_inputs k p;
           mults := !mults + p_mults;
-          down.(p) <- 1 + !probe_down;
-          depth := max !depth down.(p);
-          owner.(p) <- k;
+          down.(pos.(p)) <- 1 + !probe_down;
+          depth := max !depth (1 + !probe_down);
+          owner.(pos.(p)) <- k;
           members.(!size) <- p;
           incr size
         end;
@@ -268,7 +273,7 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
   in
   for i = nodes - 1 downto 0 do
     let id = ctx.order.(i) in
-    if owner.(id) < 0 && is_value_op g id then grow id
+    if owner.(i) < 0 && is_value_op g id then grow id
   done;
   { owner; roots; parts = !parts }
 
@@ -285,25 +290,25 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
    each producer's consumers in topological order, from one counting pass:
    the order the merges must happen in, without a sort. *)
 let partition_sarkar ctx (caps : Arch.alu_caps) =
-  let g = ctx.cg and order = ctx.order in
-  let bound = Array.length ctx.pos and nodes = Array.length order in
-  let parent = Array.make bound (-1) in
-  let size = Array.make bound 0 in
-  let next = Array.make bound (-1) and last = Array.make bound 0 in
+  let g = ctx.cg and order = ctx.order and pos = ctx.pos in
+  let nodes = Array.length order in
+  (* every table here is indexed by position and holds positions *)
+  let parent = Array.make nodes (-1) in
+  let size = Array.make nodes 0 in
+  let next = Array.make nodes (-1) and last = Array.make nodes 0 in
   for i = 0 to nodes - 1 do
-    let id = order.(i) in
-    if is_value_op g id then begin
-      parent.(id) <- id;
-      size.(id) <- 1;
-      last.(id) <- id
+    if is_value_op g order.(i) then begin
+      parent.(i) <- i;
+      size.(i) <- 1;
+      last.(i) <- i
     end
   done;
-  let rec find id =
-    let p = parent.(id) in
-    if p = id then id
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
     else begin
       let r = find p in
-      parent.(id) <- r;
+      parent.(i) <- r;
       r
     end
   in
@@ -321,59 +326,60 @@ let partition_sarkar ctx (caps : Arch.alu_caps) =
       end
     done
   in
-  let start = Array.make (bound + 1) 0 in
-  let count v = start.(v + 1) <- start.(v + 1) + 1 in
+  let start = Array.make (nodes + 1) 0 in
+  let count v = start.(pos.(v) + 1) <- start.(pos.(v) + 1) + 1 in
   for i = 0 to nodes - 1 do
     let u = order.(i) in
     if is_value_op g u then iter_producers u count
   done;
-  for v = 0 to bound - 1 do
-    start.(v + 1) <- start.(v + 1) + start.(v)
+  for i = 0 to nodes - 1 do
+    start.(i + 1) <- start.(i + 1) + start.(i)
   done;
-  let fill = Array.sub start 0 bound in
-  let consumer = Array.make (max 1 start.(bound)) 0 in
+  let fill = Array.sub start 0 nodes in
+  let consumer = Array.make start.(nodes) 0 in
   let u_cur = ref 0 in
   let place v =
-    consumer.(fill.(v)) <- !u_cur;
-    fill.(v) <- fill.(v) + 1
+    consumer.(fill.(pos.(v))) <- !u_cur;
+    fill.(pos.(v)) <- fill.(pos.(v)) + 1
   in
   for i = 0 to nodes - 1 do
     let u = order.(i) in
     if is_value_op g u then begin
-      u_cur := u;
+      u_cur := i;
       iter_producers u place
     end
   done;
-  let pr = new_probe g in
+  let pr = new_probe g ~slot:pos nodes in
   let rec add_part m =
     if m >= 0 then begin
-      probe_add pr m;
+      probe_add pr order.(m);
       add_part next.(m)
     end
   in
   let within_a = ref 0 and within_b = ref 0 and within_ok = ref true in
   let visit user _port =
+    let u = pos.(user) in
     if
-      parent.(user) < 0
+      parent.(u) < 0
       ||
-      let r = find user in
+      let r = find u in
       r <> !within_a && r <> !within_b
     then within_ok := false
   in
   let try_merge v u =
     let cv = find v and cu = find u in
     if cv <> cu then begin
-      let n = size.(cv) + size.(cu) in
+      let n = size.(cv) + size.(cu) and root = order.(cv) in
       if
         n <= caps.Arch.max_ops
-        && (not (is_named ctx cv))
-        (* each member reads [cv] on at most three ports *)
-        && G.data_use_count g cv <= 3 * n
+        && (not (is_named ctx root))
+        (* each member reads the root on at most three ports *)
+        && G.data_use_count g root <= 3 * n
         && begin
              within_a := cv;
              within_b := cu;
              within_ok := true;
-             G.iter_consumers_unordered g cv visit;
+             G.iter_consumers_unordered g root visit;
              !within_ok
            end
         && begin
@@ -390,23 +396,22 @@ let partition_sarkar ctx (caps : Arch.alu_caps) =
       end
     end
   in
-  for i = 0 to nodes - 1 do
-    let v = order.(i) in
+  for v = 0 to nodes - 1 do
     for j = start.(v) to start.(v + 1) - 1 do
       try_merge v consumer.(j)
     done
   done;
-  let owner = Array.make bound (-1) and roots = Array.make (max 1 nodes) 0 in
+  let owner = Array.make nodes (-1) and roots = Array.make nodes 0 in
   let parts = ref 0 in
-  for id = 0 to bound - 1 do
-    if parent.(id) = id then begin
-      owner.(id) <- !parts;
-      roots.(!parts) <- id;
+  for i = 0 to nodes - 1 do
+    if parent.(i) = i then begin
+      owner.(i) <- !parts;
+      roots.(!parts) <- order.(i);
       incr parts
     end
   done;
-  for id = 0 to bound - 1 do
-    if parent.(id) >= 0 then owner.(id) <- owner.(find id)
+  for i = 0 to nodes - 1 do
+    if parent.(i) >= 0 then owner.(i) <- owner.(find i)
   done;
   { owner; roots; parts = !parts }
 
@@ -420,20 +425,24 @@ let partition_sarkar ctx (caps : Arch.alu_caps) =
    store/delete upstream of its token. *)
 type chains = {
   version : int array;
-      (** Fe/St/Del -> that store/delete; -1 for the region's initial
-          contents; -2 when unresolved (resolved by a walk back at use) *)
+      (** position of a Fe/St/Del -> that store/delete; -1 for the
+          region's initial contents; -2 when unresolved (resolved by a
+          walk back at use) *)
   overwriter : int array;
-      (** Fe -> first same-offset store/delete downstream; -1 for none *)
+      (** position of a Fe -> first same-offset store/delete downstream;
+          -1 for none *)
 }
 
-let trace_chains g =
-  let bound = G.id_bound g in
-  let succ = Array.make bound (-1) in
+let trace_chains ctx =
+  let g = ctx.cg and pos = ctx.pos in
+  let nodes = Array.length ctx.order in
+  (* position of a token -> the store/delete continuing its chain *)
+  let succ = Array.make nodes (-1) in
   let max_offset = ref 0 in
   G.iter_ids g (fun id ->
       match G.kind g id with
       | G.St _ | G.Del _ ->
-        succ.(G.input g id 0) <- id;
+        succ.(pos.(G.input g id 0)) <- id;
         max_offset := max !max_offset (Legalize.const_offset g id)
       | G.Fe _ -> max_offset := max !max_offset (Legalize.const_offset g id)
       | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _ ->
@@ -442,8 +451,8 @@ let trace_chains g =
   (* per offset, valid while its stamp is the current chain's *)
   let latest = Array.make cells (-1) and latest_chain = Array.make cells (-1) in
   let waiting = Array.make cells (-1) and waiting_chain = Array.make cells (-1) in
-  let next_waiting = Array.make bound (-1) in
-  let version = Array.make bound (-2) and overwriter = Array.make bound (-1) in
+  let next_waiting = Array.make nodes (-1) in
+  let version = Array.make nodes (-2) and overwriter = Array.make nodes (-1) in
   let chain = ref (-1) and rooted = ref false in
   let lookup offset =
     if latest_chain.(offset) = !chain then latest.(offset)
@@ -454,8 +463,8 @@ let trace_chains g =
     match G.kind g user with
     | G.Fe _ when port = 0 ->
       let offset = Legalize.const_offset g user in
-      version.(user) <- lookup offset;
-      next_waiting.(user) <-
+      version.(pos.(user)) <- lookup offset;
+      next_waiting.(pos.(user)) <-
         (if waiting_chain.(offset) = !chain then waiting.(offset) else -1);
       waiting.(offset) <- user;
       waiting_chain.(offset) <- !chain
@@ -468,15 +477,15 @@ let trace_chains g =
   in
   let rec walk token =
     G.iter_consumers_unordered g token visit;
-    let node = succ.(token) in
+    let node = succ.(pos.(token)) in
     if node >= 0 then begin
       let offset = Legalize.const_offset g node in
-      version.(node) <- lookup offset;
+      version.(pos.(node)) <- lookup offset;
       if waiting_chain.(offset) = !chain then begin
         let fe = ref waiting.(offset) in
         while !fe >= 0 do
-          overwriter.(!fe) <- node;
-          fe := next_waiting.(!fe)
+          overwriter.(pos.(!fe)) <- node;
+          fe := next_waiting.(pos.(!fe))
         done;
         waiting_chain.(offset) <- -1
       end;
@@ -490,7 +499,7 @@ let trace_chains g =
         incr chain;
         rooted := true;
         walk id
-      | (G.St _ | G.Del _) when succ.(G.input g id 0) <> id ->
+      | (G.St _ | G.Del _) when succ.(pos.(G.input g id 0)) <> id ->
         (* its version lies on another chain: left unresolved *)
         incr chain;
         rooted := false;
@@ -514,8 +523,9 @@ let rec walk_version g token offset =
   | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_out _ | G.Fe _ ->
     errorf "node %d is not a token producer" token
 
-let version_of g ch access =
-  match ch.version.(access) with
+let version_of ctx ch access =
+  let g = ctx.cg in
+  match ch.version.(ctx.pos.(access)) with
   | -2 -> walk_version g (G.input g access 0) (Legalize.const_offset g access)
   | v -> v
 
@@ -557,14 +567,14 @@ type layout = {
 }
 
 let layout ctx (part : partition) =
-  let g = ctx.cg and owner = part.owner and nv = part.parts in
+  let g = ctx.cg and pos = ctx.pos and owner = part.owner in
+  let nv = part.parts in
   let ops = Array.make nv [] and first = Array.make nv 0 in
   let n_ops = ref 0 in
   for i = Array.length ctx.order - 1 downto 0 do
-    let id = ctx.order.(i) in
-    let k = owner.(id) in
+    let k = owner.(i) in
     if k >= 0 then begin
-      ops.(k) <- id :: ops.(k);
+      ops.(k) <- ctx.order.(i) :: ops.(k);
       first.(k) <- i;
       incr n_ops
     end
@@ -577,8 +587,9 @@ let layout ctx (part : partition) =
     | m :: rest ->
       for port = 0 to G.arity_of g m - 1 do
         let x = G.input g m port in
-        if owner.(x) <> k && seen.(x) <> k then begin
-          seen.(x) <- k;
+        let i = pos.(x) in
+        if owner.(i) <> k && seen.(i) <> k then begin
+          seen.(i) <- k;
           Intbuf.push operands x
         end
       done;
@@ -599,11 +610,11 @@ let layout ctx (part : partition) =
    and derives their dependence edges. Protos (clusters before numbering)
    [0, parts) are the partition's parts; the others are pass-through or
    delete clusters, in the order they are created. Every table is an
-   array indexed by node, proto or cluster id, allocated once and reused
-   when a cycle forces another round. *)
+   array indexed by topological position, proto or cluster id, allocated
+   once and reused when a cycle forces another round. *)
 let assemble ctx (part : partition) =
   let g = ctx.cg and pos = ctx.pos in
-  let bound = Array.length pos and nodes = Array.length ctx.order in
+  let nodes = Array.length ctx.order in
   let owner = part.owner and nv = part.parts in
   let lay = layout ctx part in
   let mutators = Intbuf.create () in
@@ -614,16 +625,17 @@ let assemble ctx (part : partition) =
       | G.Fe _ ->
         ());
   let n_mut = mutators.Intbuf.len in
-  let cap = max 1 (nv + n_mut) in
+  let cap = nv + n_mut in
   let p_root = Array.make cap 0 in
   Array.blit part.roots 0 p_root 0 nv;
   let p_store = Array.make cap (-1) and p_del = Array.make cap (-1) in
-  let mut_proto = Array.make (max 1 n_mut) 0 in
-  let detached = Bytes.make bound '\000' in
-  let ch = trace_chains g in
-  let head = Array.make (max 1 nodes) (-1) and link = Array.make cap (-1) in
+  let mut_proto = Array.make n_mut 0 in
+  let detached = Bytes.make nodes '\000' in
+  let ch = trace_chains ctx in
+  let head = Array.make nodes (-1) and link = Array.make cap (-1) in
   let cid_of = Array.make cap 0 and proto_at = Array.make cap 0 in
-  let cid_node = Array.make bound (-1) in
+  (* position -> cluster of the op, store or delete there *)
+  let cid_node = Array.make nodes (-1) in
   (* Attach stores: a store joins the cluster producing its value; a store
      of a constant or fetched value gets a pass-through cluster. One store
      per cluster: a second store of the same value must not join the
@@ -649,7 +661,9 @@ let assemble ctx (part : partition) =
       match G.kind g n with
       | G.St _ ->
         let value = G.input g n 2 in
-        let k = if Bytes.get detached n = '\000' then owner.(value) else -1 in
+        let k =
+          if Bytes.get detached pos.(n) = '\000' then owner.(pos.(value)) else -1
+        in
         if k >= 0 && part.roots.(k) <> value then
           errorf "store %d reads interior node %d of a cluster" n value
         else if k >= 0 && p_store.(k) < 0 then begin
@@ -687,12 +701,12 @@ let assemble ctx (part : partition) =
         p := link.(!p)
       done
     done;
-    for id = 0 to bound - 1 do
-      let k = owner.(id) in
-      if k >= 0 then cid_node.(id) <- cid_of.(k)
+    for i = 0 to nodes - 1 do
+      let k = owner.(i) in
+      if k >= 0 then cid_node.(i) <- cid_of.(k)
     done;
     for j = 0 to n_mut - 1 do
-      cid_node.(mutators.Intbuf.items.(j)) <- cid_of.(mut_proto.(j))
+      cid_node.(pos.(mutators.Intbuf.items.(j))) <- cid_of.(mut_proto.(j))
     done
   in
   (* Hard (weight-1) edges, grouped by destination and deduplicated with a
@@ -707,9 +721,9 @@ let assemble ctx (part : partition) =
     end
   in
   let version_edge dst access =
-    let v = version_of g ch access in
+    let v = version_of ctx ch access in
     if v >= 0 then begin
-      let src = cid_node.(v) in
+      let src = cid_node.(pos.(v)) in
       if src < 0 then errorf "unclustered store/delete %d" v;
       add_hard dst src
     end
@@ -717,7 +731,7 @@ let assemble ctx (part : partition) =
   let input_edge dst input =
     match G.kind g input with
     | G.Binop _ | G.Unop _ | G.Mux ->
-      let src = cid_node.(input) in
+      let src = cid_node.(pos.(input)) in
       if src < 0 then errorf "unclustered value op %d" input;
       add_hard dst src
     | G.Fe _ -> version_edge dst input
@@ -836,7 +850,7 @@ let assemble ctx (part : partition) =
      answers them all. *)
   let cur_fe = ref (-1) and cur_dst = ref (-1) in
   let soft_candidate user _port =
-    let src = cid_node.(user) and dst = !cur_dst in
+    let src = cid_node.(pos.(user)) and dst = !cur_dst in
     (* a cluster reading the fetch twice is one candidate *)
     if src >= 0 && src <> dst && stamp.(src) <> !cur_fe then begin
       stamp.(src) <- !cur_fe;
@@ -857,10 +871,10 @@ let assemble ctx (part : partition) =
     G.iter_ids g (fun fe ->
         match G.kind g fe with
         | G.Fe _ ->
-          let ow = ch.overwriter.(fe) in
-          if ow >= 0 && cid_node.(ow) >= 0 then begin
+          let ow = ch.overwriter.(pos.(fe)) in
+          if ow >= 0 && cid_node.(pos.(ow)) >= 0 then begin
             cur_fe := fe;
-            cur_dst := cid_node.(ow);
+            cur_dst := cid_node.(pos.(ow));
             G.iter_consumers_unordered g fe soft_candidate
           end
         | G.Const _ | G.Binop _ | G.Unop _ | G.Mux | G.Ss_in _ | G.Ss_out _
@@ -890,7 +904,7 @@ let assemble ctx (part : partition) =
             { cid; ops = []; root = Some p_root.(p); stores; deletes = [];
               cinputs = [ p_root.(p) ] })
     in
-    let cluster_of = Hashtbl.create (max 16 (lay.op_count + n_mut)) in
+    let cluster_of = Hashtbl.create (lay.op_count + n_mut) in
     (* every op, store and delete is in exactly one cluster *)
     let rec bind cid = function
       | [] -> ()
@@ -948,7 +962,7 @@ let assemble ctx (part : partition) =
       done;
       if !culprit < 0 then
         errorf "cluster dependence graph has an irreducible cycle";
-      Bytes.set detached !culprit '\001';
+      Bytes.set detached pos.(!culprit) '\001';
       attempt ()
     end
   in
@@ -978,7 +992,12 @@ let inputs_of c = c.cinputs
    matters here, not their order), then Kahn over compressed adjacency:
    any cycle, regardless of weight, is fatal. *)
 let validate t caps =
-  let pr = new_probe t.graph in
+  let g = t.graph in
+  let slot = Array.make (G.id_bound g) (-1) and nodes = ref 0 in
+  G.iter_ids g (fun id ->
+      slot.(id) <- !nodes;
+      incr nodes);
+  let pr = new_probe g ~slot !nodes in
   let rec add_ops = function
     | [] -> ()
     | id :: rest ->
@@ -1010,7 +1029,7 @@ let validate t caps =
   for c = 0 to n - 1 do
     start.(c + 1) <- start.(c + 1) + start.(c)
   done;
-  let fill = Array.sub start 0 n and succ = Array.make (max 1 start.(n)) 0 in
+  let fill = Array.sub start 0 n and succ = Array.make start.(n) 0 in
   let rec place = function
     | [] -> ()
     | e :: rest ->

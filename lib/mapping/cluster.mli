@@ -13,15 +13,16 @@
     Fetch ([Fe]) and constant nodes are not clustered: they are cluster
     {e inputs}, handled by phase 3 as register moves and immediates.
 
-    Complexity: {!run}, {!sarkar} and {!validate} take O(V + E) time in the
-    graph's nodes and data edges for fixed ALU caps (each data-path probe
-    touches at most [max_ops] members and their operands), plus, for the
-    anti-dependence edges, one search of the cluster DAG per distinct
-    overwriting cluster of consecutive fetches. Working state lives in
-    arrays indexed by node id or cluster id; the words allocated in the
-    minor heap are bounded per cluster (the result itself and the
-    legality check). A rare fused store closing a cycle repeats the
-    assembly once per detached store. *)
+    Complexity: for fixed ALU caps, {!run}, {!sarkar} and {!validate} take
+    O(V + E) time in the graph's nodes and data edges, plus one pass over
+    its id range; each data-path probe touches at most [max_ops] members
+    and their operands. The anti-dependence edges add one depth-first
+    search of the cluster DAG per run of consecutive fetches that share
+    an overwriting cluster, resumed across that run's candidates. Working
+    state lives in arrays indexed by topological position or cluster id;
+    the minor-heap words allocated are bounded per cluster (the result
+    itself and {!Legalize.check}). A fused store that closes a cycle,
+    which is rare, repeats the assembly once per detached store. *)
 
 type cluster = {
   cid : int;
