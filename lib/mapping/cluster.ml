@@ -241,10 +241,11 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
       while !chosen < 0 && !c < !n do
         let p = cands.(!c) in
         let p_mults = if is_mult_class g p then 1 else 0 in
+        let p_inputs = !inputs - 1 + fresh_inputs k p in
         if
           (not (is_named ctx p))
           && !mults + p_mults <= caps.Arch.max_multipliers
-          && !inputs - 1 + fresh_inputs k p <= caps.Arch.max_inputs
+          && p_inputs <= caps.Arch.max_inputs
           (* each member reads [p] on at most three ports *)
           && G.data_use_count g p <= 3 * !size
           && begin
@@ -257,7 +258,7 @@ let partition_greedy ctx (caps : Arch.alu_caps) =
           && max !depth (1 + !probe_down) <= caps.Arch.max_depth
         then begin
           chosen := p;
-          inputs := !inputs - 1 + fresh_inputs k p;
+          inputs := p_inputs;
           mark_inputs k p;
           mults := !mults + p_mults;
           down.(pos.(p)) <- 1 + !probe_down;
