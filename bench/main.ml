@@ -249,7 +249,7 @@ let loglog_slope points =
    phase fits a slope near 1; every phase is gated at 1.2, which a
    per-level re-sort of the ready pool exceeds (1.78; 2.0 on the FIR
    family), as does clustering with per-candidate member-set copies and
-   table-based edges (1.36). The cluster phase is [Cluster.run] followed
+   table-based edges (1.44). The cluster phase is [Cluster.run] followed
    by [Cluster.validate], as a compile runs them. Writes
    BENCH_phase_complexity.json. *)
 let phase_complexity_gate = 1.2

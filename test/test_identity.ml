@@ -54,19 +54,22 @@ let read_lines path =
   in
   go []
 
-let test_table () =
-  let rows = actual () in
-  match Sys.getenv_opt "FPFA_IDENTITY_WRITE" with
+(* Checks [rows] against the committed table [file], or writes them to
+   the path held by the environment variable [write] when it is set. *)
+let check_table ~write ~file ~what rows =
+  match Sys.getenv_opt write with
   | Some path ->
     let oc = open_out path in
     List.iter (fun l -> output_string oc (l ^ "\n")) rows;
     close_out oc
   | None ->
-    let expected = read_lines table_file in
+    let expected = read_lines file in
     Alcotest.(check int) "row count" (List.length expected) (List.length rows);
-    List.iter2
-      (fun e a -> Alcotest.(check string) "identity row" e a)
-      expected rows
+    List.iter2 (fun e a -> Alcotest.(check string) what e a) expected rows
+
+let test_table () =
+  check_table ~write:"FPFA_IDENTITY_WRITE" ~file:table_file ~what:"identity row"
+    (actual ())
 
 (* Second pin: the mapping back-end (Sched, Alloc) under the allocator
    options and tile overrides the default config never reaches. Each
@@ -157,18 +160,9 @@ let variant_rows (k : Kernels.t) =
   List.map alloc_row alloc_variants @ List.map sched_row priorities
 
 let test_variants () =
-  let rows = List.concat_map variant_rows (variant_programs ()) in
-  match Sys.getenv_opt "FPFA_VARIANTS_WRITE" with
-  | Some path ->
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) rows;
-    close_out oc
-  | None ->
-    let expected = read_lines variants_file in
-    Alcotest.(check int) "row count" (List.length expected) (List.length rows);
-    List.iter2
-      (fun e a -> Alcotest.(check string) "variant row" e a)
-      expected rows
+  check_table ~write:"FPFA_VARIANTS_WRITE" ~file:variants_file
+    ~what:"variant row"
+    (List.concat_map variant_rows (variant_programs ()))
 
 (* Third pin: phase 1 alone, under every clustering entry point. Each
    program's minimised graph (random DAGs are clustered as generated) is
@@ -245,22 +239,11 @@ let clustered_programs () =
           Fpfa_kernels.Random_graph.generate ~seed ~ops () ))
 
 let test_clusters () =
-  let rows =
-    List.concat_map
-      (fun (name, g) -> List.map (fun c -> clustering_row name c g) clusterings)
-      (clustered_programs ())
-  in
-  match Sys.getenv_opt "FPFA_CLUSTERS_WRITE" with
-  | Some path ->
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) rows;
-    close_out oc
-  | None ->
-    let expected = read_lines clusters_file in
-    Alcotest.(check int) "row count" (List.length expected) (List.length rows);
-    List.iter2
-      (fun e a -> Alcotest.(check string) "clustering row" e a)
-      expected rows
+  check_table ~write:"FPFA_CLUSTERS_WRITE" ~file:clusters_file
+    ~what:"clustering row"
+    (List.concat_map
+       (fun (name, g) -> List.map (fun c -> clustering_row name c g) clusterings)
+       (clustered_programs ()))
 
 let suite =
   [
